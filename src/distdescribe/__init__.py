@@ -7,7 +7,6 @@ survivors by estimated classification accuracy.
 
 from .backends import (
     Backend,
-    CachingBackend,
     CompletionRequest,
     HttpBackend,
     JudgmentRequest,
@@ -75,10 +74,6 @@ from .verifier import (
     CAEstimate,
     JudgmentCache,
     Verifier,
-    benchmark_verifier,
-    estimate_ca,
-    h_hat,
-    judge,
 )
 
 __version__ = "0.1.0"

@@ -1,15 +1,16 @@
 """Completion and judgment backends.
 
-Four interchangeable implementations of the same two-method interface:
+Implementations of the same two-method interface:
 
 * ``HttpBackend`` — OpenAI-compatible remote endpoint (completions or chat
   route) with retries and backoff.
 * ``RuleBackend`` — deterministic oracle built on the predicate registry;
   proposes by empirical separation and judges by exact score comparison.
-* ``RecordingBackend`` / ``ReplayBackend`` — transcript fixtures for
-  offline reproduction of remote runs.
-* ``CachingBackend`` — memoizes any inner backend on disk; its store uses
-  the same row format as a transcript, so a cache can be replayed.
+* ``RecordingBackend`` wraps any backend and appends every request/response
+  pair to a JSONL transcript; ``ReplayBackend`` serves a transcript back
+  for offline reproduction of a recorded run.
+
+Judgments are memoized above this layer, by ``verifier.JudgmentCache``.
 """
 
 from __future__ import annotations
@@ -20,15 +21,18 @@ import os
 import re
 import threading
 import time
+import warnings
 from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterator
 
 import requests
 
 from .config import EndpointConfig
 from .errors import (
     AuthError,
+    CorruptStoreError,
     ProviderError,
     RateLimitedError,
     ReplayMissError,
@@ -148,17 +152,6 @@ class RuleBackend(Backend):
         return "yes" if predicate.score(a_text) > predicate.score(b_text) else "no"
 
 
-_RULE_BACKEND = RuleBackend()
-
-
-def rule_propose(req: CompletionRequest) -> list[str]:
-    return _RULE_BACKEND.complete(req)
-
-
-def rule_judge(req: JudgmentRequest) -> str:
-    return _RULE_BACKEND.judge(req)
-
-
 # ---------------------------------------------------------------------------
 # HTTP backend
 
@@ -266,62 +259,86 @@ class HttpBackend(Backend):
         return texts[0]
 
 
-def http_complete(endpoint: EndpointConfig, req: CompletionRequest) -> list[str]:
-    return HttpBackend(endpoint).complete(req)
-
-
-def http_judge(endpoint: EndpointConfig, req: JudgmentRequest) -> str:
-    return HttpBackend(endpoint).judge(req)
-
-
 # ---------------------------------------------------------------------------
-# Transcript store: record / replay / cache
+# Append-only JSONL stores: transcripts here, judgment caches in the verifier
 
-def _load_store(path: Path) -> dict[str, deque]:
-    by_hash: dict[str, deque] = {}
-    if not path.exists():
-        return by_hash
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            by_hash.setdefault(row["hash"], deque()).append(row["response"])
-    return by_hash
+# json.loads without its per-call checks: a judgment cache is loaded row by
+# row on every describe.
+_decode_json = json.JSONDecoder().decode
 
 
-class _StoreWriter:
-    """Append-only jsonl store shared by the recording and caching wrappers."""
+def _parse_row(line: bytes) -> dict | None:
+    try:
+        row = _decode_json(line.decode("utf-8"))
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError
+        return None
+    return row if isinstance(row, dict) else None
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._lock = threading.Lock()
 
-    def append(self, kind: str, req_hash: str, response) -> None:
-        row = {"kind": kind, "hash": req_hash, "response": response}
-        blob = json.dumps(row, ensure_ascii=False, sort_keys=True)
-        with self._lock:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(blob + "\n")
+def read_jsonl(path: Path) -> Iterator[dict]:
+    """Rows of an append-only JSONL store, in file order.
+
+    A crash mid-append leaves a final line without its newline that does
+    not parse; it is skipped with a warning, and the next
+    :func:`append_jsonl` cuts it off.  Any other line that does not parse to
+    an object raises :class:`CorruptStoreError` naming ``path:line``.
+    """
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            row = _parse_row(line)
+            if row is None:
+                if line.isspace():
+                    continue
+                if not line.endswith(b"\n"):
+                    warnings.warn(f"{path}:{lineno}: skipping torn final line", stacklevel=2)
+                    return
+                raise CorruptStoreError(f"{path}:{lineno}: not a JSON object")
+            yield row
+
+
+def append_jsonl(path: Path, row: dict) -> None:
+    """Append ``row`` as one line, starting on a fresh line of the file.
+
+    Callers serialize appends to one path.
+    """
+    blob = (json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+    with open(path, "a+b") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size:
+            fh.seek(size - 1)
+            if fh.read(1) != b"\n":
+                fh.seek(0)
+                data = fh.read()
+                start = data.rfind(b"\n") + 1
+                if _parse_row(data[start:]) is None:
+                    fh.truncate(start)  # the torn line read_jsonl skipped
+                else:
+                    blob = b"\n" + blob
+        fh.write(blob)
 
 
 class RecordingBackend(Backend):
-    """Pass-through wrapper that persists every request/response pair."""
+    """Pass-through wrapper that appends every request/response pair to a transcript."""
 
     def __init__(self, inner: Backend, store_path: str | Path):
         self.inner = inner
         self.id = inner.id
-        self._writer = _StoreWriter(store_path)
+        self.path = Path(store_path)
+        self._lock = threading.Lock()
+
+    def _append(self, kind: str, req, response) -> None:
+        row = {"kind": kind, "hash": request_hash(req), "response": response}
+        with self._lock:
+            append_jsonl(self.path, row)
 
     def complete(self, req: CompletionRequest) -> list[str]:
         response = self.inner.complete(req)
-        self._writer.append("complete", request_hash(req), response)
+        self._append("complete", req, response)
         return response
 
     def judge(self, req: JudgmentRequest) -> str:
         response = self.inner.judge(req)
-        self._writer.append("judge", request_hash(req), response)
+        self._append("judge", req, response)
         return response
 
 
@@ -339,7 +356,9 @@ class ReplayBackend(Backend):
         self.store_path = Path(store_path)
         if not self.store_path.exists():
             raise ReplayMissError(f"transcript not found: {self.store_path}")
-        self._by_hash = _load_store(self.store_path)
+        self._by_hash: dict[str, deque] = {}
+        for row in read_jsonl(self.store_path):
+            self._by_hash.setdefault(row["hash"], deque()).append(row["response"])
         self._lock = threading.Lock()
 
     def _serve(self, req) -> object:
@@ -359,37 +378,6 @@ class ReplayBackend(Backend):
 
     def judge(self, req: JudgmentRequest) -> str:
         return str(self._serve(req))
-
-
-class CachingBackend(Backend):
-    """Serves from the store, falls through to the inner backend on miss."""
-
-    def __init__(self, inner: Backend, store_path: str | Path):
-        self.inner = inner
-        self.id = inner.id
-        self._writer = _StoreWriter(store_path)
-        self._lock = threading.Lock()
-        self._memo: dict[str, object] = {}
-        for h, queue in _load_store(Path(store_path)).items():
-            self._memo[h] = queue[0]
-
-    def _lookup(self, req, kind: str, fetch):
-        h = request_hash(req)
-        with self._lock:
-            if h in self._memo:
-                return self._memo[h]
-        response = fetch(req)
-        with self._lock:
-            if h not in self._memo:
-                self._memo[h] = response
-                self._writer.append(kind, h, response)
-            return self._memo[h]
-
-    def complete(self, req: CompletionRequest) -> list[str]:
-        return list(self._lookup(req, "complete", self.inner.complete))
-
-    def judge(self, req: JudgmentRequest) -> str:
-        return str(self._lookup(req, "judge", self.inner.judge))
 
 
 def make_backend(

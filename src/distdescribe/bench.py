@@ -20,7 +20,7 @@ from .corpus import Corpus, DistributionPair, Sample, load_corpus, save_corpus
 from .errors import UnsatisfiablePredicateError
 from .pipeline import Report, describe_pair
 from .predicates import PREDICATES, get_predicate, parse_description
-from .verifier import benchmark_verifier
+from .verifier import JudgmentCache, Verifier
 from .backends import make_backend
 
 MANIFEST_NAME = "manifest.jsonl"
@@ -260,8 +260,10 @@ def run_bench(tasks: list[SyntheticTask], config: RunConfig) -> BenchReport:
     """Score the pipeline on known-gold tasks.
 
     Gold recovery is decided by parsing each ranked description back to a
-    predicate id; the gold CA column is the verifier-quality metric
-    computed directly on the gold description.
+    predicate id.  The gold CA column is the verifier-quality metric: the
+    CA of the gold description on the run's pairs.  When the gold
+    description is a ranked row, that row already holds it; otherwise it is
+    estimated through the run's judgment cache.
     """
     if not tasks:
         raise ValueError("tasks must be non-empty")
@@ -276,13 +278,19 @@ def run_bench(tasks: list[SyntheticTask], config: RunConfig) -> BenchReport:
                 gold_rank = ranked.rank
                 break
         gold_description = get_predicate(task.gold).description
-        gold_ca = benchmark_verifier(
-            verifier_backend,
-            gold_description,
-            task.pair,
-            n_pairs=config.n_pairs,
-            seed=config.effective_pair_seed,
+        gold_row = next(
+            (r for r in report.ranked if r.hypothesis.s == gold_description), None
         )
+        if gold_row is not None:
+            gold_ca = gold_row.ca.mean
+        else:
+            verifier = Verifier(verifier_backend, JudgmentCache(config.cache_path))
+            gold_ca = verifier.estimate_ca(
+                gold_description,
+                task.pair,
+                n_pairs=config.n_pairs,
+                seed=config.effective_pair_seed,
+            ).mean
         top1_ca = report.ranked[0].ca.mean if report.ranked else 0.5
         results.append(
             TaskResult(
@@ -293,7 +301,7 @@ def run_bench(tasks: list[SyntheticTask], config: RunConfig) -> BenchReport:
                 gold_in_top_k=gold_rank is not None,
                 gold_rank=gold_rank,
                 top1_ca=top1_ca,
-                gold_ca=gold_ca.mean,
+                gold_ca=gold_ca,
             )
         )
     return BenchReport(results=tuple(results), top_k=config.top_k)

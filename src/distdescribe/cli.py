@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .backends import make_backend
 from .bench import default_suite, generate_task, load_suite, run_bench, save_suite
-from .config import RunConfig, build_config, parse_config_file
+from .config import EndpointConfig, RunConfig, build_config, parse_config_file
 from .corpus import DistributionPair, load_clustered, load_corpus
-from .discriminator import TrainConfig, train
+from .discriminator import train
 from .errors import (
     BackendError,
     ConfigError,
@@ -34,24 +35,14 @@ from .pipeline import (
     shortcut_scan,
 )
 from .proposer import first_prompt
-from .verifier import estimate_ca
+from .verifier import Verifier
 
-_FLAG_KEYS = (
-    "seed",
-    "pair_seed",
-    "prompt_seed",
-    "n_pairs",
-    "top_k",
-    "temperature",
-    "max_completion_tokens",
-    "in_flight",
-    "epochs",
-    "learning_rate",
-    "proposer_backend",
-    "verifier_backend",
-    "cache_path",
-    "out_path",
-)
+
+def _int_list(value: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in value.split(",") if part.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers, got {value!r}") from None
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -61,7 +52,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prompt-seed", type=int, dest="prompt_seed", help="prompt-sampling seed")
     p.add_argument("--n-pairs", type=int, dest="n_pairs", help="pairs per CA estimate")
     p.add_argument("--top-k", type=int, dest="top_k", help="ranked hypotheses to keep")
-    p.add_argument("--percentiles", help="comma-separated percentiles, e.g. 5,20,100")
+    p.add_argument(
+        "--percentiles", type=_int_list, help="comma-separated percentiles, e.g. 5,20,100"
+    )
     p.add_argument("--temperature", type=float, help="proposer sampling temperature")
     p.add_argument(
         "--max-completion-tokens",
@@ -98,28 +91,21 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", dest="out_path", help="write the machine-readable report here")
 
 
+def _flag_values(args: argparse.Namespace, cls, prefix: str = "") -> dict:
+    """The fields of ``cls`` set on the command line as ``--<prefix><field>``."""
+    values = {}
+    for f in fields(cls):
+        value = getattr(args, prefix + f.name, None)
+        if value is not None:
+            values[f.name] = value
+    return values
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    flag_values: dict = {}
-    for key in _FLAG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            flag_values[key] = value
-    if getattr(args, "percentiles", None):
-        try:
-            flag_values["percentiles"] = tuple(
-                int(part) for part in args.percentiles.split(",") if part.strip()
-            )
-        except ValueError:
-            raise ConfigError(f"--percentiles: expected integers, got {args.percentiles!r}")
+    flag_values = _flag_values(args, RunConfig)
     for role in ("proposer", "verifier"):
-        overrides = {}
-        base_url = getattr(args, f"{role}_base_url", None)
-        model = getattr(args, f"{role}_model", None)
-        if base_url is not None:
-            overrides["base_url"] = base_url
-        if model is not None:
-            overrides["model"] = model
+        overrides = _flag_values(args, EndpointConfig, prefix=f"{role}_")
         if overrides:
             flag_values[f"{role}_endpoint"] = overrides
     return build_config(file_values, flag_values)
@@ -202,8 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         d1=load_corpus(args.d1, format=args.format),
     )
     backend = make_backend(config.verifier_backend, config.verifier_endpoint)
-    est = estimate_ca(
-        backend,
+    est = Verifier(backend).estimate_ca(
         args.hypothesis,
         pair,
         n_pairs=config.n_pairs,
@@ -252,12 +237,7 @@ def cmd_dump_prompt(args: argparse.Namespace) -> int:
         d0=load_corpus(args.d0, format=args.format),
         d1=load_corpus(args.d1, format=args.format),
     )
-    disc = train(
-        pair,
-        TrainConfig(
-            epochs=config.epochs, learning_rate=config.learning_rate, seed=config.seed
-        ),
-    )
+    disc = train(pair, config.train_config)
     prompt = first_prompt(pair, disc, config, args.percentile)
     sys.stdout.write(prompt.rendered + "\n")
     return 0

@@ -8,9 +8,10 @@ reproduced from its output alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .discriminator import TrainConfig
 from .errors import ConfigError
 
 CONFIG_FORMAT = "distdescribe-config-v1"
@@ -90,44 +91,22 @@ class RunConfig:
     def effective_prompt_seed(self) -> int:
         return self.seed if self.prompt_seed is None else self.prompt_seed
 
+    @property
+    def train_config(self) -> TrainConfig:
+        """The discriminator settings this run trains with."""
+        return TrainConfig(
+            epochs=self.epochs, learning_rate=self.learning_rate, seed=self.seed
+        )
+
     def echo(self) -> dict:
         """Full effective configuration as a plain serializable mapping."""
-
-        def endpoint(e: EndpointConfig) -> dict:
-            return {
-                "base_url": e.base_url,
-                "route": e.route,
-                "model": e.model,
-                "credential_env": e.credential_env,
-                "timeout_s": e.timeout_s,
-                "retries": e.retries,
-                "backoff_s": e.backoff_s,
-            }
-
-        return {
-            "seed": self.seed,
-            "pair_seed": self.effective_pair_seed,
-            "prompt_seed": self.effective_prompt_seed,
-            "n_pairs": self.n_pairs,
-            "top_k": self.top_k,
-            "percentiles": list(self.percentiles),
-            "samples_per_side": self.samples_per_side,
-            "sets_per_percentile": self.sets_per_percentile,
-            "completions_per_set": self.completions_per_set,
-            "temperature": self.temperature,
-            "max_completion_tokens": self.max_completion_tokens,
-            "stop_sequences": list(self.stop_sequences),
-            "forbidden_tokens": list(self.forbidden_tokens),
-            "in_flight": self.in_flight,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "proposer_backend": self.proposer_backend,
-            "verifier_backend": self.verifier_backend,
-            "cache_path": self.cache_path,
-            "out_path": self.out_path,
-            "proposer_endpoint": endpoint(self.proposer_endpoint),
-            "verifier_endpoint": endpoint(self.verifier_endpoint),
+        echo = {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(self).items()
         }
+        echo["pair_seed"] = self.effective_pair_seed
+        echo["prompt_seed"] = self.effective_prompt_seed
+        return echo
 
 
 def _parse_int(key: str, value: str) -> int:
@@ -163,38 +142,25 @@ def _parse_str_list(key: str, value: str) -> tuple[str, ...]:
     return tuple(parsed)
 
 
-_SCALAR_KEYS = {
-    "seed": _parse_int,
-    "pair_seed": _parse_int,
-    "prompt_seed": _parse_int,
-    "n_pairs": _parse_int,
-    "top_k": _parse_int,
-    "percentiles": _parse_int_list,
-    "samples_per_side": _parse_int,
-    "sets_per_percentile": _parse_int,
-    "completions_per_set": _parse_int,
-    "temperature": _parse_float,
-    "max_completion_tokens": _parse_int,
-    "stop_sequences": _parse_str_list,
-    "forbidden_tokens": _parse_str_list,
-    "in_flight": _parse_int,
-    "epochs": _parse_int,
-    "learning_rate": _parse_float,
-    "proposer_backend": lambda k, v: v,
-    "verifier_backend": lambda k, v: v,
-    "cache_path": lambda k, v: v,
-    "out_path": lambda k, v: v,
+def _parse_str(key: str, value: str) -> str:
+    return value
+
+
+# Value parser by field annotation; a field of any other type fails import.
+_PARSERS = {
+    "int": _parse_int,
+    "int | None": _parse_int,
+    "float": _parse_float,
+    "str": _parse_str,
+    "str | None": _parse_str,
+    "tuple[int, ...]": _parse_int_list,
+    "tuple[str, ...]": _parse_str_list,
 }
 
-_ENDPOINT_KEYS = {
-    "base_url": lambda k, v: v,
-    "route": lambda k, v: v,
-    "model": lambda k, v: v,
-    "credential_env": lambda k, v: v,
-    "timeout_s": _parse_float,
-    "retries": _parse_int,
-    "backoff_s": _parse_float,
+_SCALAR_KEYS = {
+    f.name: _PARSERS[f.type] for f in fields(RunConfig) if f.type != "EndpointConfig"
 }
+_ENDPOINT_KEYS = {f.name: _PARSERS[f.type] for f in fields(EndpointConfig)}
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -262,6 +228,3 @@ def build_config(file_values: dict | None = None, flag_values: dict | None = Non
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return RunConfig(**merged)
 
-
-def with_overrides(config: RunConfig, **overrides) -> RunConfig:
-    return replace(config, **overrides)

@@ -55,9 +55,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.samples)
 
-    def texts(self) -> list[str]:
-        return [s.text for s in self.samples]
-
 
 @dataclass(frozen=True)
 class DistributionPair:

@@ -8,10 +8,8 @@ scale and keeps the artifact self-contained.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -19,7 +17,6 @@ from .corpus import Corpus, DistributionPair, Sample
 from .errors import DegenerateDataError
 
 FEATURE_SPACE = 1 << 18
-MODEL_FORMAT = "distdescribe-disc-v1"
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -190,36 +187,3 @@ def select_percentile(
         d0_samples=top(pair.d0, 0),
     )
 
-
-def save_discriminator(disc: Discriminator, path: str | Path) -> None:
-    """Dump nonzero weights as jsonl with a version header."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "format": MODEL_FORMAT,
-            "bias": disc.bias,
-            "epochs": disc.config.epochs,
-            "learning_rate": disc.config.learning_rate,
-            "seed": disc.config.seed,
-        }
-        fh.write(json.dumps(header) + "\n")
-        for index in np.flatnonzero(disc.weights):
-            fh.write(json.dumps([int(index), float(disc.weights[index])]) + "\n")
-
-
-def load_discriminator(path: str | Path) -> Discriminator:
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != MODEL_FORMAT:
-            raise ValueError(f"{path}: not a {MODEL_FORMAT} model file")
-        weights = np.zeros(FEATURE_SPACE, dtype=np.float64)
-        for line in fh:
-            index, weight = json.loads(line)
-            weights[index] = weight
-    config = TrainConfig(
-        epochs=header["epochs"],
-        learning_rate=header["learning_rate"],
-        seed=header["seed"],
-    )
-    return Discriminator(weights=weights, bias=header["bias"], config=config)

@@ -56,6 +56,10 @@ class PipelineAbortedError(DistDescribeError):
         self.total = total
 
 
+class CorruptStoreError(DistDescribeError):
+    """A judgment cache or transcript has a damaged line before its last."""
+
+
 class ConfigError(DistDescribeError):
     """A run configuration file or value is invalid."""
 

@@ -15,7 +15,7 @@ from typing import Mapping
 from .backends import Backend, make_backend
 from .config import RunConfig
 from .corpus import ClusteredCorpus, Corpus, DistributionPair, one_vs_rest
-from .discriminator import TrainConfig, train
+from .discriminator import train
 from .errors import FewerThanTwoClustersError, PipelineAbortedError
 from .proposer import CandidateSet, Hypothesis, propose
 from .verifier import CAEstimate, JudgmentCache, Verifier
@@ -137,12 +137,7 @@ def describe_pair(
     if verifier_backend is None:
         verifier_backend = make_backend(config.verifier_backend, config.verifier_endpoint)
 
-    disc = train(
-        pair,
-        TrainConfig(
-            epochs=config.epochs, learning_rate=config.learning_rate, seed=config.seed
-        ),
-    )
+    disc = train(pair, config.train_config)
     candidates: CandidateSet = propose(pair, disc, proposer_backend, config)
 
     verifier = Verifier(verifier_backend, JudgmentCache(config.cache_path))

@@ -353,10 +353,6 @@ def get_predicate(predicate_id: str) -> Predicate:
         raise KeyError(f"unknown predicate {predicate_id!r}") from None
 
 
-def predicate_ids() -> tuple[str, ...]:
-    return tuple(p.id for p in PREDICATES)
-
-
 def parse_description(description: str) -> Predicate | None:
     """Match a description back to its predicate; None when unrecognized."""
     return _BY_DESCRIPTION.get(description.strip().casefold())

@@ -8,13 +8,11 @@ differs from side 0.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +20,7 @@ from .backends import Backend, CompletionRequest
 from .config import RunConfig
 from .corpus import DistributionPair, Sample
 from .discriminator import Discriminator, RepresentativeSet, select_percentile
-from .errors import AllCompletionsEmptyError, BackendError, EmptySampleSetError
+from .errors import AllCompletionsEmptyError, EmptySampleSetError
 
 INSTRUCTION = "Compared to group 0, each sentence from group 1"
 TOKEN_BUDGET = 2048
@@ -221,16 +219,8 @@ def propose(
             )
             tasks.append((p, set_index, req))
 
-    def fetch(task: tuple[int, int, CompletionRequest]) -> list[str]:
-        p, set_index, req = task
-        try:
-            return backend.complete(req)
-        except BackendError as exc:
-            exc.request_context = (p, set_index)
-            raise
-
     with ThreadPoolExecutor(max_workers=config.in_flight) as pool:
-        responses = list(pool.map(fetch, tasks))
+        responses = list(pool.map(backend.complete, [req for _, _, req in tasks]))
 
     hypotheses: list[Hypothesis] = []
     seen: set[str] = set()
@@ -254,15 +244,3 @@ def propose(
         )
     return CandidateSet(hypotheses=tuple(hypotheses), raw_count=raw_count)
 
-
-def save_candidates(candidates: CandidateSet, path: str | Path) -> None:
-    """Serialize a candidate set to jsonl (fields s, raw, provenance)."""
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        for h in candidates.hypotheses:
-            row = {
-                "s": h.s,
-                "raw": h.raw,
-                "provenance": list(h.provenance) if h.provenance else None,
-                "comparative": h.comparative,
-            }
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")

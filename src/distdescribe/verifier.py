@@ -15,13 +15,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import string
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .backends import Backend, JudgmentRequest
+from .backends import Backend, JudgmentRequest, append_jsonl, read_jsonl
 from .corpus import DistributionPair, Sample
 from .errors import AuthError, BackendError, ReplayMissError
 from .proposer import Hypothesis
@@ -50,16 +51,6 @@ def build_question(s: Hypothesis | str, a: Sample, b: Sample) -> VerifierQuestio
 
 
 @dataclass(frozen=True)
-class PairJudgment:
-    forward: float
-    backward: float
-
-    @property
-    def h_hat(self) -> float:
-        return (self.forward - self.backward + 1.0) / 2.0
-
-
-@dataclass(frozen=True)
 class CAEstimate:
     mean: float
     stderr: float
@@ -78,10 +69,15 @@ class CAEstimate:
 
 
 def _answer_value(answer: str) -> float:
-    cleaned = answer.strip().lower()
-    if cleaned.startswith("yes"):
+    """Score an answer by its first word, case-folded, trailing punctuation cut.
+
+    Exactly "yes" is 1.0 and exactly "no" is 0.0; anything else abstains.
+    """
+    words = answer.split(maxsplit=1)
+    first = words[0].rstrip(string.punctuation).lower() if words else ""
+    if first == "yes":
         return 1.0
-    if cleaned.startswith("no"):
+    if first == "no":
         return 0.0
     return ABSTAIN
 
@@ -94,12 +90,8 @@ class JudgmentCache:
         self._memo: dict[str, float] = {}
         self._lock = threading.Lock()
         if self.path is not None and self.path.exists():
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        row = json.loads(line)
-                        self._memo[row["key"]] = row["value"]
+            for row in read_jsonl(self.path):
+                self._memo[row["key"]] = row["value"]
 
     @staticmethod
     def key(backend_id: str, s: str, a_text: str, b_text: str) -> str:
@@ -124,8 +116,7 @@ class JudgmentCache:
                     "answer": answer,
                     "value": value,
                 }
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+                append_jsonl(self.path, row)
 
 
 class Verifier:
@@ -222,31 +213,3 @@ class Verifier:
             exhaustive=exhaustive,
         )
 
-
-def judge(backend: Backend, s: Hypothesis | str, a: Sample, b: Sample) -> float:
-    return Verifier(backend).judge(s, a, b)
-
-
-def h_hat(backend: Backend, s: Hypothesis | str, x1: Sample, x0: Sample) -> float:
-    return Verifier(backend).h_hat(s, x1, x0)
-
-
-def estimate_ca(
-    backend: Backend,
-    s: Hypothesis | str,
-    pair: DistributionPair,
-    n_pairs: int = 400,
-    seed: int = 0,
-) -> CAEstimate:
-    return Verifier(backend).estimate_ca(s, pair, n_pairs=n_pairs, seed=seed)
-
-
-def benchmark_verifier(
-    backend: Backend,
-    gold: Hypothesis | str,
-    pair: DistributionPair,
-    n_pairs: int = 400,
-    seed: int = 0,
-) -> CAEstimate:
-    """CA of an externally supplied gold hypothesis (verifier quality metric)."""
-    return estimate_ca(backend, gold, pair, n_pairs=n_pairs, seed=seed)

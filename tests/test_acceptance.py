@@ -36,7 +36,7 @@ from distdescribe.pipeline import (
 )
 from distdescribe.predicates import PREDICATES
 from distdescribe.proposer import INSTRUCTION, TOKEN_BUDGET, build_prompt, first_prompt
-from distdescribe.verifier import Verifier, estimate_ca
+from distdescribe.verifier import Verifier
 
 from conftest import make_corpus, make_pair
 from test_proposer import GOLDEN, GROUP0_TEXTS, GROUP1_TEXTS
@@ -346,8 +346,8 @@ def test_criterion_10_shortcut_scan():
     top = report.ranked[0]
     assert top.hypothesis.s == "contains a negative statement"
 
-    exhaustive = estimate_ca(
-        RuleBackend(), top.hypothesis.s, task.pair, n_pairs=40000, seed=0
+    exhaustive = Verifier(RuleBackend()).estimate_ca(
+        top.hypothesis.s, task.pair, n_pairs=40000, seed=0
     )
     assert exhaustive.exhaustive
     # Closed form: q1(1-q0) + (q1*q0 + (1-q1)(1-q0))/2 = 0.63 + 0.17 = 0.80.

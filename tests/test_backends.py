@@ -1,4 +1,4 @@
-"""Tests for rule, HTTP, recording, replay, and caching backends."""
+"""Tests for rule, HTTP, recording, and replay backends."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from distdescribe.backends import (
-    CachingBackend,
     CompletionRequest,
     HttpBackend,
     JudgmentRequest,
@@ -24,6 +23,7 @@ from distdescribe.backends import (
 from distdescribe.config import EndpointConfig
 from distdescribe.errors import (
     AuthError,
+    CorruptStoreError,
     ProviderError,
     RateLimitedError,
     ReplayMissError,
@@ -301,7 +301,7 @@ def test_http_unreachable_transport_error():
         backend.complete(CompletionRequest(prompt="p"))
 
 
-# -------------------------------------------------- record / replay / caching
+# ------------------------------------------------------------ record / replay
 
 
 def test_record_then_replay_round_trip(tmp_path):
@@ -348,41 +348,52 @@ def test_replay_fifo_then_repeat_last(tmp_path):
     assert replay.judge(req) == "no"  # last response repeats
 
 
-class _CountingBackend(RuleBackend):
-    def __init__(self):
-        self.complete_calls = 0
-        self.judge_calls = 0
-
-    def complete(self, req):
-        self.complete_calls += 1
-        return super().complete(req)
-
-    def judge(self, req):
-        self.judge_calls += 1
-        return super().judge(req)
+JREQ = JudgmentRequest(
+    question="Is it true that sentence A contains a question mark?",
+    context="A: Is it?\nB: It is.",
+)
 
 
-def test_caching_backend_deduplicates_and_persists(tmp_path):
-    store = tmp_path / "cache.jsonl"
-    inner = _CountingBackend()
-    cache = CachingBackend(inner, store)
-    req = JudgmentRequest(
-        question="Is it true that sentence A contains a question mark?",
-        context="A: Is it?\nB: It is.",
-    )
-    first = cache.judge(req)
-    second = cache.judge(req)
-    assert first == second == "yes"
-    assert inner.judge_calls == 1
+def test_replay_skips_torn_final_line(tmp_path):
+    store = tmp_path / "transcript.jsonl"
+    answer = RecordingBackend(RuleBackend(), store).judge(JREQ)
+    with open(store, "ab") as fh:
+        fh.write(b'{"hash": "0f3a')  # a crash mid-append
+    with pytest.warns(UserWarning, match=r"transcript\.jsonl:2: skipping torn final line"):
+        replay = ReplayBackend(store)
+    assert replay.judge(JREQ) == answer
 
-    # A fresh cache over the same file serves from disk without touching inner.
-    inner2 = _CountingBackend()
-    cache2 = CachingBackend(inner2, store)
-    assert cache2.judge(req) == "yes"
-    assert inner2.judge_calls == 0
 
-    # The cache file doubles as a replayable transcript.
-    assert ReplayBackend(store).judge(req) == "yes"
+def test_replay_rejects_corruption_mid_file(tmp_path):
+    store = tmp_path / "transcript.jsonl"
+    RecordingBackend(RuleBackend(), store).judge(JREQ)
+    store.write_text("[1, 2]\n" + store.read_text(encoding="utf-8"), encoding="utf-8")
+    with pytest.raises(CorruptStoreError, match=r"transcript\.jsonl:1"):
+        ReplayBackend(store)
+
+
+@pytest.mark.parametrize(
+    "tail, kept",
+    [
+        (b'{"hash": "0f3a', 0),  # torn by a crash: cut off
+        (b'{"hash": "0f3a", "kind": "judge", "response": "no"}', 1),  # whole row: kept
+    ],
+)
+def test_recording_starts_on_a_fresh_line(tmp_path, tail, kept):
+    store = tmp_path / "transcript.jsonl"
+    recorder = RecordingBackend(RuleBackend(), store)
+    answer = recorder.judge(JREQ)
+    with open(store, "ab") as fh:
+        fh.write(tail)
+    creq = CompletionRequest(prompt=QUESTION_PROMPT, n=2)
+    completions = recorder.complete(creq)
+
+    lines = store.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2 + kept
+    assert all(json.loads(line) for line in lines)
+    replay = ReplayBackend(store)
+    assert replay.judge(JREQ) == answer
+    assert replay.complete(creq) == completions
 
 
 def test_make_backend_selectors(tmp_path):

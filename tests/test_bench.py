@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from distdescribe import bench
+from distdescribe.backends import RuleBackend
 from distdescribe.bench import (
     default_suite,
     generate_task,
@@ -15,7 +17,8 @@ from distdescribe.bench import (
 )
 from distdescribe.config import RunConfig
 from distdescribe.errors import UnsatisfiablePredicateError
-from distdescribe.predicates import get_predicate, predicate_ids
+from distdescribe.predicates import PREDICATES, get_predicate
+from distdescribe.verifier import Verifier
 
 
 def _satisfied_count(task, side):
@@ -33,7 +36,7 @@ def test_generate_task_exact_satisfaction_counts():
 
 
 def test_generate_task_counts_hold_for_every_predicate():
-    for pid in predicate_ids():
+    for pid in [p.id for p in PREDICATES]:
         task = generate_task(pid, 0.7, 0.2, 40, seed=11)
         assert _satisfied_count(task, 1) == 28, pid
         assert _satisfied_count(task, 0) == 8, pid
@@ -108,6 +111,32 @@ def test_run_bench_recovers_gold_on_noiseless_tasks():
         assert result.gold_rank == 1
         assert result.gold_ca > 0.9
         assert result.top1_ca > 0.9
+
+
+class _CountingJudge(RuleBackend):
+    def __init__(self):
+        self.judge_calls = 0
+
+    def judge(self, req):
+        self.judge_calls += 1
+        return super().judge(req)
+
+
+@pytest.mark.parametrize("top_k, gold_rank", [(1, None), (2, 2)])
+def test_run_bench_gold_ca_equals_a_direct_estimate(tmp_path, monkeypatch, top_k, gold_rank):
+    # The gold ranks second: read off its row at top-2, re-estimated at top-1.
+    task = generate_task("question", 0.55, 0.45, 40, seed=2)
+    config = RunConfig(top_k=top_k, n_pairs=200, cache_path=str(tmp_path / "c.jsonl"))
+    gold_backend = _CountingJudge()
+    monkeypatch.setattr(bench, "make_backend", lambda *args: gold_backend)
+
+    (result,) = run_bench([task], config).results
+    expected = Verifier(RuleBackend()).estimate_ca(
+        get_predicate("question").description, task.pair, n_pairs=200, seed=0
+    )
+    assert result.gold_rank == gold_rank
+    assert result.gold_ca == expected.mean
+    assert gold_backend.judge_calls == 0  # every gold judgment came from the run's cache
 
 
 def test_run_bench_report_serializes():

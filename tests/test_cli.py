@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
 from distdescribe.backends import RecordingBackend, RuleBackend
 from distdescribe.bench import generate_task
-from distdescribe.cli import main
+from distdescribe.cli import _add_run_flags, _config_from_args, main
 from distdescribe.config import CONFIG_FORMAT, RunConfig
 from distdescribe.corpus import save_corpus
 from distdescribe.errors import PipelineAbortedError
@@ -292,3 +293,28 @@ def test_dump_prompt_ends_with_instruction(zebra_task_files, capsys):
     out = capsys.readouterr().out
     assert out.rstrip("\n").endswith("Compared to group 0, each sentence from group 1")
     assert out.startswith("Group 0:")
+
+
+def _resolve(config, dest):
+    """The config value behind a flag's dest, e.g. proposer_model -> proposer_endpoint.model."""
+    for role in ("proposer", "verifier"):
+        if not hasattr(config, dest) and dest.startswith(f"{role}_"):
+            return getattr(getattr(config, f"{role}_endpoint"), dest[len(role) + 1 :])
+    return getattr(config, dest)
+
+
+def test_every_run_flag_reaches_the_config():
+    parser = argparse.ArgumentParser()
+    _add_run_flags(parser)
+    flags = [a for a in parser._actions if a.option_strings and a.dest not in ("help", "config")]
+    argv = []
+    for action in flags:
+        value = {int: "7", float: "0.25"}.get(action.type, "replay:t.jsonl")
+        argv += [action.option_strings[0], "7,9" if action.dest == "percentiles" else value]
+    args = parser.parse_args(argv)
+    config = _config_from_args(args)
+
+    for action in flags:
+        value = _resolve(config, action.dest)
+        assert value == getattr(args, action.dest), action.dest
+        assert value != _resolve(RunConfig(), action.dest), action.dest

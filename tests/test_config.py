@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import pytest
 
 from distdescribe.config import (
@@ -10,7 +12,6 @@ from distdescribe.config import (
     RunConfig,
     build_config,
     parse_config_file,
-    with_overrides,
 )
 from distdescribe.errors import ConfigError
 
@@ -133,7 +134,7 @@ def test_flags_override_file_values(tmp_path):
 
 def test_with_overrides_replaces_only_named_fields():
     base = RunConfig(seed=2, n_pairs=100)
-    changed = with_overrides(base, top_k=3)
+    changed = replace(base, top_k=3)
     assert changed.top_k == 3
     assert changed.seed == 2
     assert changed.n_pairs == 100
@@ -146,3 +147,44 @@ def test_echo_is_json_ready():
     assert echo["proposer_backend"] == "rule"
     assert isinstance(echo["percentiles"], list)
     assert echo["proposer_endpoint"]["route"] == "completions"
+
+
+# A config-file value for each field annotation, unlike every default.
+_FILE_VALUES = {
+    "int": ("7", 7),
+    "int | None": ("7", 7),
+    "float": ("0.25", 0.25),
+    "str": ("replay:t.jsonl", "replay:t.jsonl"),
+    "str | None": ("replay:t.jsonl", "replay:t.jsonl"),
+    "tuple[int, ...]": ("7, 9", [7, 9]),
+    "tuple[str, ...]": ('["x", "y"]', ["x", "y"]),
+}
+
+
+def _file_value(f):
+    return ("chat", "chat") if f.name == "route" else _FILE_VALUES[f.type]
+
+
+def test_every_field_is_settable_from_file_and_echoed(tmp_path):
+    lines, expected = [], {}
+    for f in fields(RunConfig):
+        if f.type == "EndpointConfig":
+            role = f.name.removesuffix("_endpoint")
+            for sub in fields(EndpointConfig):
+                text, value = _file_value(sub)
+                lines.append(f"{role}.{sub.name} = {text}")
+                expected.setdefault(f.name, {})[sub.name] = value
+        else:
+            text, value = _file_value(f)
+            lines.append(f"{f.name} = {text}")
+            expected[f.name] = value
+
+    config = build_config(parse_config_file(_write_config(tmp_path, "\n".join(lines))))
+    echo = config.echo()
+    assert echo == expected
+    default = RunConfig().echo()
+    for key, value in expected.items():
+        if isinstance(value, dict):
+            assert all(value[sub] != default[key][sub] for sub in value), key
+        else:
+            assert value != default[key], key

@@ -13,8 +13,6 @@ from distdescribe.discriminator import (
     confidence,
     featurize,
     held_out_accuracy,
-    load_discriminator,
-    save_discriminator,
     select_percentile,
     train,
 )
@@ -170,13 +168,3 @@ def test_select_percentile_validates_range():
     with pytest.raises(ValueError):
         select_percentile(disc, pair, 101)
 
-
-def test_save_load_round_trip(tmp_path):
-    disc = train(_separable_pair(), TrainConfig(seed=3))
-    path = tmp_path / "disc.jsonl"
-    save_discriminator(disc, path)
-    loaded = load_discriminator(path)
-    assert np.array_equal(disc.weights, loaded.weights)
-    assert disc.bias == loaded.bias
-    sample = Sample(id="t:0", text="the zebra walked past point 5")
-    assert confidence(disc, sample, 1) == confidence(loaded, sample, 1)

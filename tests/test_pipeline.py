@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,8 @@ from distdescribe.pipeline import (
 
 from conftest import make_corpus, make_pair
 
+GOLDEN_REPORT = Path(__file__).parent / "data" / "golden_report.json"
+
 
 def test_describe_pair_ranks_gold_first_noiseless():
     task = generate_task("zebra", 1.0, 0.0, 80, seed=2)
@@ -33,6 +36,13 @@ def test_describe_pair_ranks_gold_first_noiseless():
     assert top.hypothesis.s == "contains the word 'zebra'"
     assert top.ca.mean == 1.0
     assert top.significant
+
+
+def test_report_bytes_match_golden_file():
+    """Report bytes are pinned across builds, not only across two runs of one."""
+    task = generate_task("hyperlink", 0.9, 0.2, 150, seed=4)
+    report = describe_pair(task.pair, RunConfig(seed=7))
+    assert report_json(report).encode("utf-8") == GOLDEN_REPORT.read_bytes()
 
 
 def test_describe_pair_rank_and_order_contract():

@@ -8,7 +8,6 @@ from distdescribe.predicates import (
     PREDICATES,
     get_predicate,
     parse_description,
-    predicate_ids,
 )
 
 NEUTRAL_TEXTS = [
@@ -20,7 +19,7 @@ NEUTRAL_TEXTS = [
 
 
 def test_registry_is_nonempty_with_unique_ids():
-    ids = predicate_ids()
+    ids = [p.id for p in PREDICATES]
     assert len(ids) >= 20
     assert len(set(ids)) == len(ids)
 

@@ -2,23 +2,22 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from distdescribe.backends import Backend, RuleBackend
 from distdescribe.bench import generate_task
 from distdescribe.corpus import DistributionPair, Sample
-from distdescribe.errors import AuthError, ProviderError, ReplayMissError
+from distdescribe.errors import AuthError, CorruptStoreError, ProviderError, ReplayMissError
 from distdescribe.predicates import get_predicate
 from distdescribe.verifier import (
     ABSTAIN,
     JudgmentCache,
     Verifier,
-    benchmark_verifier,
+    _answer_value,
     build_question,
-    estimate_ca,
-    h_hat,
-    judge,
 )
 
 from conftest import make_pair
@@ -37,10 +36,26 @@ def test_build_question_templates():
 
 
 def test_judge_values():
-    backend = RuleBackend()
-    assert judge(backend, QUESTION, _sample("yes?"), _sample("no")) == 1.0
-    assert judge(backend, QUESTION, _sample("no"), _sample("yes?")) == 0.0
-    assert judge(backend, "gibberish hypothesis", _sample("a"), _sample("b")) == ABSTAIN
+    verifier = Verifier(RuleBackend())
+    assert verifier.judge(QUESTION, _sample("yes?"), _sample("no")) == 1.0
+    assert verifier.judge(QUESTION, _sample("no"), _sample("yes?")) == 0.0
+    assert verifier.judge("gibberish hypothesis", _sample("a"), _sample("b")) == ABSTAIN
+
+
+@pytest.mark.parametrize(
+    "answer, value",
+    [
+        (" yes", 1.0),
+        ("Yes.", 1.0),
+        ("NO", 0.0),
+        ("Not sure", ABSTAIN),
+        ("None of them", ABSTAIN),
+        ("Yesterday", ABSTAIN),
+        ("", ABSTAIN),
+    ],
+)
+def test_answer_value_reads_exactly_yes_or_no(answer, value):
+    assert _answer_value(answer) == value
 
 
 def test_h_hat_matches_inline_oracle():
@@ -49,7 +64,7 @@ def test_h_hat_matches_inline_oracle():
     texts = ["plain words", "really?", "two?? marks?", "nothing again"]
     for t1 in texts:
         for t0 in texts:
-            got = h_hat(backend, QUESTION, _sample(t1, "a:0"), _sample(t0, "b:0"))
+            got = Verifier(backend).h_hat(QUESTION, _sample(t1, "a:0"), _sample(t0, "b:0"))
             qa, qb = ("?" in t1), ("?" in t0)
             expected = 1.0 if qa > qb else (0.0 if qa < qb else 0.5)
             assert got == expected, (t1, t0)
@@ -70,7 +85,7 @@ def test_h_hat_anti_symmetry_exact():
 
 def test_estimate_ca_exhaustive_closed_form():
     task = generate_task("question", 0.8, 0.1, 200, seed=3)
-    est = estimate_ca(RuleBackend(), QUESTION, task.pair, n_pairs=40000, seed=0)
+    est = Verifier(RuleBackend()).estimate_ca(QUESTION, task.pair, n_pairs=40000, seed=0)
     assert est.exhaustive
     assert est.n_pairs == 40000
     assert est.mean == 0.85  # (160*180 + (160*20 + 40*180)/2) / 40000
@@ -78,7 +93,7 @@ def test_estimate_ca_exhaustive_closed_form():
 
 def test_estimate_ca_sampled_near_exhaustive():
     task = generate_task("question", 0.8, 0.1, 200, seed=3)
-    est = estimate_ca(RuleBackend(), QUESTION, task.pair, n_pairs=400, seed=12)
+    est = Verifier(RuleBackend()).estimate_ca(QUESTION, task.pair, n_pairs=400, seed=12)
     assert not est.exhaustive
     assert est.n_pairs == 400
     assert est.stderr > 0.0
@@ -88,7 +103,7 @@ def test_estimate_ca_sampled_near_exhaustive():
 def test_estimate_ca_identical_distributions_exactly_half():
     texts = [f"sentence number {i} stands here" for i in range(40)]
     pair = make_pair(texts, texts)
-    est = estimate_ca(RuleBackend(), QUESTION, pair, n_pairs=40 * 40, seed=0)
+    est = Verifier(RuleBackend()).estimate_ca(QUESTION, pair, n_pairs=40 * 40, seed=0)
     assert est.exhaustive
     assert est.mean == 0.5
 
@@ -96,23 +111,23 @@ def test_estimate_ca_identical_distributions_exactly_half():
 def test_estimate_ca_relabel_identity():
     task = generate_task("question", 0.7, 0.2, 40, seed=6)
     swapped = DistributionPair(d0=task.pair.d1, d1=task.pair.d0)
-    fwd = estimate_ca(RuleBackend(), QUESTION, task.pair, n_pairs=40 * 40, seed=0)
-    rev = estimate_ca(RuleBackend(), QUESTION, swapped, n_pairs=40 * 40, seed=0)
+    fwd = Verifier(RuleBackend()).estimate_ca(QUESTION, task.pair, n_pairs=40 * 40, seed=0)
+    rev = Verifier(RuleBackend()).estimate_ca(QUESTION, swapped, n_pairs=40 * 40, seed=0)
     assert abs((fwd.mean + rev.mean) - 1.0) <= 1e-12
 
 
 def test_estimate_ca_deterministic_given_seed():
     task = generate_task("question", 0.8, 0.1, 200, seed=3)
-    a = estimate_ca(RuleBackend(), QUESTION, task.pair, n_pairs=400, seed=7)
-    b = estimate_ca(RuleBackend(), QUESTION, task.pair, n_pairs=400, seed=7)
+    a = Verifier(RuleBackend()).estimate_ca(QUESTION, task.pair, n_pairs=400, seed=7)
+    b = Verifier(RuleBackend()).estimate_ca(QUESTION, task.pair, n_pairs=400, seed=7)
     assert a.mean == b.mean and a.stderr == b.stderr
-    c = estimate_ca(RuleBackend(), QUESTION, task.pair, n_pairs=400, seed=8)
+    c = Verifier(RuleBackend()).estimate_ca(QUESTION, task.pair, n_pairs=400, seed=8)
     assert (a.mean, a.stderr) != (c.mean, c.stderr)
 
 
 def test_ca_estimate_to_dict():
     task = generate_task("question", 0.8, 0.1, 20, seed=2)
-    est = estimate_ca(RuleBackend(), QUESTION, task.pair, n_pairs=400, seed=0)
+    est = Verifier(RuleBackend()).estimate_ca(QUESTION, task.pair, n_pairs=400, seed=0)
     d = est.to_dict()
     assert d["mean"] == est.mean
     assert d["stderr"] == est.stderr
@@ -123,7 +138,7 @@ def test_ca_estimate_to_dict():
 def test_benchmark_verifier_gold_ca():
     task = generate_task("question", 0.8, 0.1, 200, seed=3)
     gold_description = get_predicate(task.gold).description
-    est = benchmark_verifier(RuleBackend(), gold_description, task.pair, n_pairs=40000)
+    est = Verifier(RuleBackend()).estimate_ca(gold_description, task.pair, n_pairs=40000)
     assert est.mean == 0.85
 
 
@@ -216,3 +231,37 @@ def test_abstain_fraction():
     verifier.judge("unknown description here", _sample("a"), _sample("b"))
     verifier.judge(QUESTION, _sample("a?"), _sample("b"))
     assert verifier.abstain_fraction == 0.5
+
+
+def test_judgment_cache_tolerates_torn_final_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    a, b = _sample("a?", "x:0"), _sample("b", "y:0")
+    Verifier(RuleBackend(), JudgmentCache(path)).judge(QUESTION, a, b)
+    with open(path, "ab") as fh:
+        fh.write(b'{"a_id": "x:0", "answer": "y')  # a crash mid-append
+
+    with pytest.warns(UserWarning, match=r"c\.jsonl:2: skipping torn final line"):
+        cache = JudgmentCache(path)
+    backend = _CountingJudge()
+    verifier = Verifier(backend, cache)
+    assert verifier.judge(QUESTION, a, b) == 1.0
+    assert backend.judge_calls == 0
+
+    # The next append replaces the fragment instead of gluing onto it.
+    assert verifier.judge(QUESTION, b, a) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reloaded = Verifier(_CountingJudge(), JudgmentCache(path))
+    assert reloaded.judge(QUESTION, a, b) == 1.0
+    assert reloaded.judge(QUESTION, b, a) == 0.0
+    assert reloaded.backend.judge_calls == 0
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 2
+
+
+def test_judgment_cache_rejects_corruption_mid_file(tmp_path):
+    path = tmp_path / "c.jsonl"
+    a, b = _sample("a?", "x:0"), _sample("b", "y:0")
+    Verifier(RuleBackend(), JudgmentCache(path)).judge(QUESTION, a, b)
+    path.write_text("{not json\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    with pytest.raises(CorruptStoreError, match=r"c\.jsonl:1"):
+        JudgmentCache(path)
