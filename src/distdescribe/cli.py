@@ -35,7 +35,7 @@ from .pipeline import (
     shortcut_scan,
 )
 from .proposer import first_prompt
-from .verifier import Verifier
+from .verifier import JudgmentCache, Verifier
 
 
 def _int_list(value: str) -> tuple[int, ...]:
@@ -188,7 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         d1=load_corpus(args.d1, format=args.format),
     )
     backend = make_backend(config.verifier_backend, config.verifier_endpoint)
-    est = Verifier(backend).estimate_ca(
+    est = Verifier(backend, JudgmentCache(config.cache_path)).estimate_ca(
         args.hypothesis,
         pair,
         n_pairs=config.n_pairs,

@@ -8,8 +8,11 @@ scale and keeps the artifact self-contained.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -31,7 +34,9 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def feature_index(token: str) -> int:
+    # Memoized: one FNV-1a pass per distinct token or bigram, not per occurrence.
     return _fnv1a64(token.encode("utf-8")) % FEATURE_SPACE
 
 
@@ -52,6 +57,17 @@ def featurize(text: str) -> dict[int, int]:
     return vector
 
 
+def _log_odds(
+    bias: float, weights: Mapping[int, float] | np.ndarray, features: Iterable[tuple[int, int]]
+) -> float:
+    # Summed left to right in feature insertion order: training, selection
+    # and ad-hoc scoring all add in this one order, so scores match bit for bit.
+    total = bias
+    for index, count in features:
+        total += weights[index] * count
+    return total
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 5
@@ -61,18 +77,23 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class Discriminator:
-    """Trained logistic-regression weights; label 1 means "drawn from d1"."""
+    """Trained logistic-regression weights; label 1 means "drawn from d1".
+
+    ``scores`` holds the log-odds of every text of the pair it was trained
+    on, computed once by :func:`train`; other texts are scored on demand.
+    """
 
     weights: np.ndarray
     bias: float
     config: TrainConfig
+    scores: Mapping[str, float] = field(default_factory=dict, repr=False, compare=False)
 
     def score(self, text: str) -> float:
         """Signed log-odds that ``text`` came from the d1 side."""
-        total = self.bias
-        for index, count in featurize(text).items():
-            total += self.weights[index] * count
-        return total
+        known = self.scores.get(text)
+        if known is not None:
+            return known
+        return _log_odds(self.bias, self.weights, featurize(text).items())
 
 
 @dataclass(frozen=True)
@@ -104,12 +125,18 @@ def _split(corpus: Corpus) -> tuple[list[Sample], list[Sample]]:
     return train, held
 
 
+def _compact(vector: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # Indices and counts as two tuples take a third of the dict's memory.
+    return tuple(vector), tuple(vector.values())
+
+
 def train(pair: DistributionPair, config: TrainConfig | None = None) -> Discriminator:
     """Fit logistic regression by per-sample SGD with seeded epoch shuffles.
 
     Training uses the 80% split of each side; the held-out 20% is scored by
     :func:`held_out_accuracy`.  Given the same seed and data order the
-    result is bit-identical across runs.
+    result is bit-identical across runs.  Every sample of both sides is
+    featurized once; the returned model carries all their scores.
     """
     config = config or TrainConfig()
     if len(pair.d0) < 2 or len(pair.d1) < 2:
@@ -117,26 +144,38 @@ def train(pair: DistributionPair, config: TrainConfig | None = None) -> Discrimi
             f"need at least 2 samples per side, got {len(pair.d0)} and {len(pair.d1)}"
         )
 
-    train0, _ = _split(pair.d0)
-    train1, _ = _split(pair.d1)
-    examples = [(featurize(s.text), 0.0) for s in train0]
-    examples += [(featurize(s.text), 1.0) for s in train1]
-
-    weights = np.zeros(FEATURE_SPACE, dtype=np.float64)
+    sides = (pair.d0, pair.d1)
+    vectors = [[_compact(featurize(s.text)) for s in corpus.samples] for corpus in sides]
+    examples = [
+        (vector, float(label))
+        for label, side in enumerate(vectors)
+        for vector, held in zip(side, _holdout_mask(len(side)))
+        if not held
+    ]
+    # Sparse weights over the features this pair uses, scattered into the
+    # dense array once training is done.
+    w = dict.fromkeys(
+        chain.from_iterable(indices for side in vectors for indices, _ in side), 0.0
+    )
     bias = 0.0
     rng = np.random.default_rng(config.seed)
     for _ in range(config.epochs):
-        for i in rng.permutation(len(examples)):
-            vector, label = examples[i]
-            z = bias
-            for index, count in vector.items():
-                z += weights[index] * count
-            error = _sigmoid(z) - label
+        for i in rng.permutation(len(examples)).tolist():
+            (indices, counts), label = examples[i]
+            error = _sigmoid(_log_odds(bias, w, zip(indices, counts))) - label
             step = config.learning_rate * error
-            for index, count in vector.items():
-                weights[index] -= step * count
+            for index, count in zip(indices, counts):
+                w[index] -= step * count
             bias -= step
-    return Discriminator(weights=weights, bias=bias, config=config)
+
+    weights = np.zeros(FEATURE_SPACE, dtype=np.float64)
+    weights[list(w)] = list(w.values())
+    scores = {
+        sample.text: _log_odds(bias, w, zip(*vector))
+        for corpus, side in zip(sides, vectors)
+        for sample, vector in zip(corpus.samples, side)
+    }
+    return Discriminator(weights=weights, bias=bias, config=config, scores=scores)
 
 
 def held_out_accuracy(disc: Discriminator, pair: DistributionPair) -> float:

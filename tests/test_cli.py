@@ -206,6 +206,40 @@ def test_verify_sampled_output(zebra_task_files, capsys):
     assert "n_pairs=400" in out
 
 
+def test_verify_cache_writes_store_then_serves_repeat(zebra_task_files, tmp_path, capsys, monkeypatch):
+    d0, d1 = zebra_task_files
+    store = tmp_path / "c.jsonl"
+    calls = []
+    original_judge = RuleBackend.judge
+
+    def counted_judge(self, req):
+        calls.append(req)
+        return original_judge(self, req)
+
+    monkeypatch.setattr(RuleBackend, "judge", counted_judge)
+    argv = [
+        "verify",
+        "--hypothesis",
+        "contains the word 'zebra'",
+        "--d0",
+        str(d0),
+        "--d1",
+        str(d1),
+        "--n-pairs",
+        "50",
+        "--cache",
+        str(store),
+    ]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert calls
+    assert store.exists() and store.stat().st_size > 0
+    calls.clear()
+    assert main(argv) == 0
+    assert calls == []
+    assert capsys.readouterr().out == first
+
+
 def test_gen_bench_then_bench_round_trip(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rc = main(["gen-bench", "--gold", "question", "--q1", "1.0", "--q0", "0.0", "--n", "40", "--seed", "5"])

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from distdescribe.bench import generate_task
 from distdescribe.corpus import Sample
 from distdescribe.discriminator import (
     FEATURE_SPACE,
@@ -19,6 +24,8 @@ from distdescribe.discriminator import (
 from distdescribe.errors import DegenerateDataError
 
 from conftest import make_pair
+
+GOLDEN_DISCRIMINATOR = Path(__file__).parent / "data" / "golden_discriminator.json"
 
 
 def _separable_pair(n=100):
@@ -168,3 +175,28 @@ def test_select_percentile_validates_range():
     with pytest.raises(ValueError):
         select_percentile(disc, pair, 101)
 
+
+
+def _discriminator_fingerprint() -> dict:
+    """Weights, bias, holdout accuracy and selections on one fixed noisy task."""
+    task = generate_task("hyperlink", 0.7, 0.3, 500, seed=11)
+    disc = train(task.pair, TrainConfig())
+    selected = {}
+    for p in (5, 20, 100):
+        rep = select_percentile(disc, task.pair, p)
+        selected[str(p)] = {
+            "d1": [s.id for s in rep.d1_samples],
+            "d0": [s.id for s in rep.d0_samples],
+        }
+    return {
+        "weights_sha256": hashlib.sha256(disc.weights.tobytes()).hexdigest(),
+        "bias": repr(disc.bias),
+        "held_out_accuracy": repr(held_out_accuracy(disc, task.pair)),
+        "selected": selected,
+    }
+
+
+def test_discriminator_matches_golden_file():
+    """Training and selection are pinned bit for bit across builds."""
+    golden = json.loads(GOLDEN_DISCRIMINATOR.read_text(encoding="utf-8"))
+    assert _discriminator_fingerprint() == golden

@@ -45,6 +45,22 @@ def test_report_bytes_match_golden_file():
     assert report_json(report).encode("utf-8") == GOLDEN_REPORT.read_bytes()
 
 
+def test_describe_pair_featurizes_each_sample_once(monkeypatch):
+    import distdescribe.discriminator as discriminator
+
+    original = discriminator.featurize
+    calls = []
+
+    def counted_featurize(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(discriminator, "featurize", counted_featurize)
+    task = generate_task("question", 0.8, 0.1, 120, seed=5)
+    describe_pair(task.pair, RunConfig())
+    assert len(calls) == len(task.pair.d0) + len(task.pair.d1)
+
+
 def test_describe_pair_rank_and_order_contract():
     task = generate_task("question", 0.8, 0.1, 120, seed=5)
     config = RunConfig()

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from distdescribe.backends import RuleBackend
+from distdescribe.backends import RuleBackend, _parse_prompt_groups
 from distdescribe.config import RunConfig
 from distdescribe.corpus import Sample
 from distdescribe.discriminator import TrainConfig, train
@@ -97,6 +99,26 @@ def test_prompt_short_samples_untouched():
     prompt = build_prompt(_samples("g1", GROUP1_TEXTS), _samples("g0", GROUP0_TEXTS))
     for text in GROUP0_TEXTS + GROUP1_TEXTS:
         assert f". {text}\n" in prompt.rendered + "\n"
+
+
+def test_prompt_renders_multiline_samples_on_one_line():
+    set1 = _samples("g1", ["one\n2. looks numbered"])
+    set0 = _samples("g0", ["first zero\nGroup 1:", "second zero"])
+    group0, group1 = _parse_prompt_groups(build_prompt(set1, set0).rendered)
+    assert group0 == ["first zero Group 1:", "second zero"]
+    assert group1 == ["one 2. looks numbered"]
+
+
+_group = st.lists(st.text(min_size=1, max_size=40), min_size=1, max_size=5)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(texts1=_group, texts0=_group)
+def test_prompt_render_parse_round_trip(texts1, texts0):
+    prompt = build_prompt(_samples("g1", texts1), _samples("g0", texts0))
+    group0, group1 = _parse_prompt_groups(prompt.rendered)
+    assert group0 == [t.replace("\n", " ") for t in texts0]
+    assert group1 == [t.replace("\n", " ") for t in texts1]
 
 
 def test_normalize_strips_stop_punctuation():
