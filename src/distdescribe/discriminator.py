@@ -36,7 +36,8 @@ def _fnv1a64(data: bytes) -> int:
 
 @functools.lru_cache(maxsize=1 << 16)
 def feature_index(token: str) -> int:
-    # Memoized: one FNV-1a pass per distinct token or bigram, not per occurrence.
+    # Memoized: one FNV-1a pass per distinct token or bigram of a pair, not
+    # per occurrence; :func:`train` empties the memo when it is done.
     return _fnv1a64(token.encode("utf-8")) % FEATURE_SPACE
 
 
@@ -175,6 +176,8 @@ def train(pair: DistributionPair, config: TrainConfig | None = None) -> Discrimi
         for corpus, side in zip(sides, vectors)
         for sample, vector in zip(corpus.samples, side)
     }
+    # The token memo serves one fit; emptied, it holds no memory between describes.
+    feature_index.cache_clear()
     return Discriminator(weights=weights, bias=bias, config=config, scores=scores)
 
 
