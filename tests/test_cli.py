@@ -206,7 +206,9 @@ def test_verify_sampled_output(zebra_task_files, capsys):
     assert "n_pairs=400" in out
 
 
-def test_verify_cache_writes_store_then_serves_repeat(zebra_task_files, tmp_path, capsys, monkeypatch):
+def test_verify_cache_writes_store_then_serves_repeat(
+    zebra_task_files, tmp_path, capsys, monkeypatch
+):
     d0, d1 = zebra_task_files
     store = tmp_path / "c.jsonl"
     calls = []

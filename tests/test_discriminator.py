@@ -176,7 +176,6 @@ def test_select_percentile_validates_range():
         select_percentile(disc, pair, 101)
 
 
-
 def _discriminator_fingerprint() -> dict:
     """Weights, bias, holdout accuracy and selections on one fixed noisy task."""
     task = generate_task("hyperlink", 0.7, 0.3, 500, seed=11)

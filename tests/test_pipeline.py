@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import distdescribe.discriminator as discriminator
 from distdescribe.backends import Backend, RuleBackend
 from distdescribe.bench import generate_task
 from distdescribe.config import RunConfig
@@ -46,8 +47,6 @@ def test_report_bytes_match_golden_file():
 
 
 def test_describe_pair_featurizes_each_sample_once(monkeypatch):
-    import distdescribe.discriminator as discriminator
-
     original = discriminator.featurize
     calls = []
 
