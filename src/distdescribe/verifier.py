@@ -13,11 +13,11 @@ cross-distribution pairs; small corpora are enumerated exhaustively.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import string
 import threading
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -33,20 +33,18 @@ QUESTION_TEMPLATE = "Is it true that sentence A {s}?"
 CONTEXT_TEMPLATE = "A: {x1}\nB: {x0}"
 
 
+# (backend id, description, text A, text B): what one directed judgment asks.
+Judgment = tuple[str, str, str, str]
+
+
 def _s_text(s: Hypothesis | str) -> str:
     return s.s if isinstance(s, Hypothesis) else s
 
 
-@dataclass(frozen=True)
-class VerifierQuestion:
-    context: str
-    question: str
-
-
-def build_question(s: Hypothesis | str, a: Sample, b: Sample) -> VerifierQuestion:
-    return VerifierQuestion(
-        context=CONTEXT_TEMPLATE.format(x1=a.text, x0=b.text),
+def build_question(s: Hypothesis | str, a: Sample, b: Sample) -> JudgmentRequest:
+    return JudgmentRequest(
         question=QUESTION_TEMPLATE.format(s=_s_text(s)),
+        context=CONTEXT_TEMPLATE.format(x1=a.text, x0=b.text),
     )
 
 
@@ -83,34 +81,48 @@ def _answer_value(answer: str) -> float:
 
 
 class JudgmentCache:
-    """In-memory judgment memo with an optional append-only jsonl store."""
+    """In-memory judgment memo with an optional append-only jsonl store.
+
+    The memo is keyed by the :data:`Judgment` tuple itself; its sha256
+    :meth:`key` is computed only to write a row to the store and to look up
+    rows loaded from the store.
+    """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
-        self._memo: dict[str, float] = {}
+        self._memo: dict[Judgment, float] = {}
+        self._stored: dict[str, float] = {}
         self._lock = threading.Lock()
         if self.path is not None and self.path.exists():
             for row in read_jsonl(self.path):
-                self._memo[row["key"]] = row["value"]
+                self._stored[row["key"]] = row["value"]
 
     @staticmethod
     def key(backend_id: str, s: str, a_text: str, b_text: str) -> str:
-        blob = json.dumps([backend_id, s, a_text, b_text], ensure_ascii=False)
+        # The bytes of json.dumps([backend_id, s, a_text, b_text], ensure_ascii=False),
+        # which fix the store's row keys, without building an encoder per call.
+        blob = "[" + ", ".join(map(encode_basestring, (backend_id, s, a_text, b_text))) + "]"
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def get(self, key: str) -> float | None:
-        with self._lock:
-            return self._memo.get(key)
+    def get(self, judgment: Judgment) -> float | None:
+        # Single dict reads are atomic; only put() needs the lock.
+        value = self._memo.get(judgment)
+        if value is None and self._stored:
+            value = self._stored.get(self.key(*judgment))
+        return value
 
-    def put(self, key: str, s: str, a_id: str, b_id: str, answer: str, value: float) -> None:
+    def put(self, judgment: Judgment, a_id: str, b_id: str, answer: str, value: float) -> None:
         with self._lock:
-            if key in self._memo:
+            if judgment in self._memo:
                 return
-            self._memo[key] = value
-            if self.path is not None:
+            self._memo[judgment] = value
+            if self.path is None:
+                return
+            key = self.key(*judgment)
+            if key not in self._stored:
                 row = {
                     "key": key,
-                    "s": s,
+                    "s": judgment[1],
                     "a_id": a_id,
                     "b_id": b_id,
                     "answer": answer,
@@ -148,17 +160,14 @@ class Verifier:
     def judge(self, s: Hypothesis | str, a: Sample, b: Sample) -> float:
         """One directed judgment in {0, 0.5, 1}; 0.5 is abstention."""
         s_text = _s_text(s)
-        key = JudgmentCache.key(self.backend.id, s_text, a.text, b.text)
-        cached = self.cache.get(key)
+        judgment = (self.backend.id, s_text, a.text, b.text)
+        cached = self.cache.get(judgment)
         if cached is not None:
             self._count(cached, failed=False)
             return cached
 
-        q = build_question(s_text, a, b)
         try:
-            answer = self.backend.judge(
-                JudgmentRequest(question=q.question, context=q.context)
-            )
+            answer = self.backend.judge(build_question(s_text, a, b))
         except (AuthError, ReplayMissError):
             raise  # configuration mistakes; retrying other pairs cannot help
         except BackendError:
@@ -167,7 +176,7 @@ class Verifier:
             self._count(ABSTAIN, failed=True)
             return ABSTAIN
         value = _answer_value(answer)
-        self.cache.put(key, s_text, a.id, b.id, answer, value)
+        self.cache.put(judgment, a.id, b.id, answer, value)
         self._count(value, failed=False)
         return value
 
@@ -189,6 +198,8 @@ class Verifier:
         full cross product is no larger than ``n_pairs`` it is enumerated
         instead, which removes Monte-Carlo noise entirely.
         """
+        if n_pairs < 1:
+            raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
         d1, d0 = pair.d1.samples, pair.d0.samples
         exhaustive = len(d1) * len(d0) <= n_pairs
         if exhaustive:

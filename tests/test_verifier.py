@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import shutil
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distdescribe.backends import Backend, RuleBackend
 from distdescribe.bench import generate_task
+from distdescribe.config import RunConfig
 from distdescribe.corpus import DistributionPair, Sample
 from distdescribe.errors import AuthError, CorruptStoreError, ProviderError, ReplayMissError
+from distdescribe.pipeline import describe_pair
 from distdescribe.predicates import get_predicate
 from distdescribe.verifier import (
     ABSTAIN,
@@ -23,6 +32,7 @@ from distdescribe.verifier import (
 from conftest import make_pair
 
 QUESTION = "contains a question mark"
+GOLDEN_JUDGMENTS = Path(__file__).parent / "data" / "golden_judgments.jsonl"
 
 
 def _sample(text, id="t:0"):
@@ -123,6 +133,29 @@ def test_estimate_ca_deterministic_given_seed():
     assert a.mean == b.mean and a.stderr == b.stderr
     c = Verifier(RuleBackend()).estimate_ca(QUESTION, task.pair, n_pairs=400, seed=8)
     assert (a.mean, a.stderr) != (c.mean, c.stderr)
+
+
+@pytest.mark.parametrize("n_pairs", [0, -3])
+def test_estimate_ca_rejects_n_pairs_below_one(n_pairs):
+    task = generate_task("question", 0.8, 0.1, 20, seed=2)
+    with pytest.raises(ValueError, match=rf"n_pairs must be >= 1, got {n_pairs}"):
+        Verifier(RuleBackend()).estimate_ca(QUESTION, task.pair, n_pairs=n_pairs)
+
+
+def test_estimate_ca_judges_through_verifier_judge(monkeypatch):
+    """Every judgment passes through ``Verifier.judge``, where a class-level patch counts it."""
+    original = Verifier.judge
+    calls = []
+
+    def counted_judge(verifier, *args, **kwargs):
+        calls.append(args)
+        return original(verifier, *args, **kwargs)
+
+    monkeypatch.setattr(Verifier, "judge", counted_judge)
+    task = generate_task("question", 0.8, 0.1, 40, seed=3)
+    est = Verifier(RuleBackend()).estimate_ca(QUESTION, task.pair, n_pairs=300, seed=1)
+    assert not est.exhaustive
+    assert len(calls) == 2 * 300
 
 
 def test_ca_estimate_to_dict():
@@ -265,3 +298,79 @@ def test_judgment_cache_rejects_corruption_mid_file(tmp_path):
     path.write_text("{not json\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
     with pytest.raises(CorruptStoreError, match=r"c\.jsonl:1"):
         JudgmentCache(path)
+
+
+def test_memo_without_store_never_hashes(monkeypatch):
+    def no_hashing(*args):
+        raise AssertionError("JudgmentCache.key called without a store")
+
+    monkeypatch.setattr(JudgmentCache, "key", staticmethod(no_hashing))
+    task = generate_task("question", 0.8, 0.1, 40, seed=3)
+    verifier = Verifier(RuleBackend(), JudgmentCache())
+    est = verifier.estimate_ca(QUESTION, task.pair, n_pairs=300, seed=1)
+    assert est.n_pairs == 300
+    assert verifier.judgment_count == 600
+
+
+class _BarrierJudge(_CountingJudge):
+    """Holds every judge call until two are in flight at once."""
+
+    def __init__(self):
+        super().__init__()
+        self.barrier = threading.Barrier(2, timeout=10)
+        self._calls_lock = threading.Lock()
+
+    def judge(self, req):
+        with self._calls_lock:
+            self.judge_calls += 1
+        self.barrier.wait()
+        return RuleBackend.judge(self, req)
+
+
+def test_concurrent_misses_write_one_row(tmp_path):
+    path = tmp_path / "c.jsonl"
+    backend = _BarrierJudge()
+    verifier = Verifier(backend, JudgmentCache(path))
+    a, b = _sample("a?", "x:0"), _sample("b", "y:0")
+    values = []
+    threads = [
+        threading.Thread(target=lambda: values.append(verifier.judge(QUESTION, a, b)))
+        for _ in range(2)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert values == [1.0, 1.0]
+    assert backend.judge_calls == 2
+    assert verifier.judgment_count == 2
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(parts=st.tuples(st.text(), st.text(), st.text(), st.text()))
+def test_judgment_key_is_sha256_of_json_dumps(parts):
+    blob = json.dumps(list(parts), ensure_ascii=False).encode("utf-8")
+    assert JudgmentCache.key(*parts) == hashlib.sha256(blob).hexdigest()
+
+
+def _golden_store_run(store, verifier_backend=None):
+    """The run that wrote ``golden_judgments.jsonl``: sequential, so row order is fixed."""
+    task = generate_task("question", 0.8, 0.1, 40, seed=5)
+    config = RunConfig(n_pairs=50, in_flight=1, cache_path=str(store))
+    return describe_pair(task.pair, config, verifier_backend=verifier_backend)
+
+
+def test_golden_store_serves_every_judgment(tmp_path):
+    store = tmp_path / "judgments.jsonl"
+    shutil.copyfile(GOLDEN_JUDGMENTS, store)
+    backend = _CountingJudge()
+    _golden_store_run(store, backend)
+    assert backend.judge_calls == 0
+    assert store.read_bytes() == GOLDEN_JUDGMENTS.read_bytes()
+
+
+def test_empty_store_writes_golden_bytes(tmp_path):
+    store = tmp_path / "judgments.jsonl"
+    _golden_store_run(store)
+    assert store.read_bytes() == GOLDEN_JUDGMENTS.read_bytes()
