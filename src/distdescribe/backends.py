@@ -165,6 +165,17 @@ class HttpBackend(Backend):
     def __init__(self, endpoint: EndpointConfig):
         self.endpoint = endpoint
         self.id = f"http:{endpoint.route}:{endpoint.model}"
+        # One keep-alive connection pool, shared by every thread of a run.
+        # The proxy and CA-bundle variables are read once, here; with
+        # trust_env off, requests reads no environment and no netrc per
+        # request, so the only credential sent is credential_env's token.
+        session = requests.Session()
+        settings = session.merge_environment_settings(endpoint.base_url, {}, None, None, None)
+        session.trust_env = False
+        session.proxies = settings["proxies"]
+        session.verify = settings["verify"]
+        session.cert = settings["cert"]
+        self._session = session
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -182,7 +193,7 @@ class HttpBackend(Backend):
         headers = self._headers()
         for attempt in range(1, attempts + 1):
             try:
-                response = requests.post(
+                response = self._session.post(
                     url, json=body, headers=headers, timeout=self.endpoint.timeout_s
                 )
             except requests.exceptions.RequestException as exc:
@@ -265,6 +276,8 @@ class HttpBackend(Backend):
 # json.loads without its per-call checks: a judgment cache is loaded row by
 # row on every describe.
 _decode_json = json.JSONDecoder().decode
+# json.dumps(row, ensure_ascii=False, sort_keys=True) without an encoder per row.
+_encode_row = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
 
 def _parse_row(line: bytes) -> dict | None:
@@ -280,8 +293,8 @@ def read_jsonl(path: Path) -> Iterator[dict]:
 
     A crash mid-append leaves a final line without its newline that does
     not parse; it is skipped with a warning, and the next
-    :func:`append_jsonl` cuts it off.  Any other line that does not parse to
-    an object raises :class:`CorruptStoreError` naming ``path:line``.
+    :meth:`JsonlAppender.append` cuts it off.  Any other line that does not
+    parse to an object raises :class:`CorruptStoreError` naming ``path:line``.
     """
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -296,13 +309,24 @@ def read_jsonl(path: Path) -> Iterator[dict]:
             yield row
 
 
-def append_jsonl(path: Path, row: dict) -> None:
-    """Append ``row`` as one line, starting on a fresh line of the file.
+class JsonlAppender:
+    """Appends rows to one JSONL store through a handle kept open between rows.
 
-    Callers serialize appends to one path.
+    The file is opened on the first row.  Every row starts on a fresh line
+    of the file as it is now, even if something else appended to it since,
+    and is flushed before :meth:`append` returns.  Callers serialize
+    appends to one path.
     """
-    blob = (json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
-    with open(path, "a+b") as fh:
+
+    def __init__(self, path: Path):
+        self.path = path
+        self._fh = None
+
+    def append(self, row: dict) -> None:
+        blob = (_encode_row(row) + "\n").encode("utf-8")
+        if self._fh is None:
+            self._fh = open(self.path, "a+b")
+        fh = self._fh
         size = fh.seek(0, os.SEEK_END)
         if size:
             fh.seek(size - 1)
@@ -315,6 +339,12 @@ def append_jsonl(path: Path, row: dict) -> None:
                 else:
                     blob = b"\n" + blob
         fh.write(blob)
+        fh.flush()
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
 class RecordingBackend(Backend):
@@ -324,12 +354,18 @@ class RecordingBackend(Backend):
         self.inner = inner
         self.id = inner.id
         self.path = Path(store_path)
+        self._writer = JsonlAppender(self.path)
         self._lock = threading.Lock()
 
     def _append(self, kind: str, req, response) -> None:
         row = {"kind": kind, "hash": request_hash(req), "response": response}
         with self._lock:
-            append_jsonl(self.path, row)
+            self._writer.append(row)
+
+    def close(self) -> None:
+        """Close the transcript; a later request opens it again."""
+        with self._lock:
+            self._writer.close()
 
     def complete(self, req: CompletionRequest) -> list[str]:
         response = self.inner.complete(req)

@@ -10,6 +10,7 @@ predicate evaluation.
 from __future__ import annotations
 
 import json
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -284,13 +285,13 @@ def run_bench(tasks: list[SyntheticTask], config: RunConfig) -> BenchReport:
         if gold_row is not None:
             gold_ca = gold_row.ca.mean
         else:
-            verifier = Verifier(verifier_backend, JudgmentCache(config.cache_path))
-            gold_ca = verifier.estimate_ca(
-                gold_description,
-                task.pair,
-                n_pairs=config.n_pairs,
-                seed=config.effective_pair_seed,
-            ).mean
+            with closing(JudgmentCache(config.cache_path)) as cache:
+                gold_ca = Verifier(verifier_backend, cache).estimate_ca(
+                    gold_description,
+                    task.pair,
+                    n_pairs=config.n_pairs,
+                    seed=config.effective_pair_seed,
+                ).mean
         top1_ca = report.ranked[0].ca.mean if report.ranked else 0.5
         results.append(
             TaskResult(

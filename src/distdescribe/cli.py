@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing
 from dataclasses import fields
 from pathlib import Path
 
@@ -188,12 +189,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         d1=load_corpus(args.d1, format=args.format),
     )
     backend = make_backend(config.verifier_backend, config.verifier_endpoint)
-    est = Verifier(backend, JudgmentCache(config.cache_path)).estimate_ca(
-        args.hypothesis,
-        pair,
-        n_pairs=config.n_pairs,
-        seed=config.effective_pair_seed,
-    )
+    with closing(JudgmentCache(config.cache_path)) as cache:
+        est = Verifier(backend, cache).estimate_ca(
+            args.hypothesis,
+            pair,
+            n_pairs=config.n_pairs,
+            seed=config.effective_pair_seed,
+        )
     _write_out(
         config, json.dumps(est.to_dict(), indent=2, sort_keys=True) + "\n"
     )

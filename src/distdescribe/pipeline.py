@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -140,14 +141,15 @@ def describe_pair(
     disc = train(pair, config.train_config)
     candidates: CandidateSet = propose(pair, disc, proposer_backend, config)
 
-    verifier = Verifier(verifier_backend, JudgmentCache(config.cache_path))
     pair_seed = config.effective_pair_seed
+    with closing(JudgmentCache(config.cache_path)) as cache:
+        verifier = Verifier(verifier_backend, cache)
 
-    def score(h: Hypothesis) -> tuple[Hypothesis, CAEstimate]:
-        return h, verifier.estimate_ca(h, pair, n_pairs=config.n_pairs, seed=pair_seed)
+        def score(h: Hypothesis) -> tuple[Hypothesis, CAEstimate]:
+            return h, verifier.estimate_ca(h, pair, n_pairs=config.n_pairs, seed=pair_seed)
 
-    with ThreadPoolExecutor(max_workers=config.in_flight) as pool:
-        scored = list(pool.map(score, candidates.hypotheses))
+        with ThreadPoolExecutor(max_workers=config.in_flight) as pool:
+            scored = list(pool.map(score, candidates.hypotheses))
 
     total = verifier.judgment_count
     if total and verifier.abstain_count / total > 0.5:

@@ -22,15 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends import Backend, JudgmentRequest, append_jsonl, read_jsonl
+from .backends import QUESTION_PREFIX, Backend, JsonlAppender, JudgmentRequest, read_jsonl
 from .corpus import DistributionPair, Sample
 from .errors import AuthError, BackendError, ReplayMissError
 from .proposer import Hypothesis
 
 ABSTAIN = 0.5
-
-QUESTION_TEMPLATE = "Is it true that sentence A {s}?"
-CONTEXT_TEMPLATE = "A: {x1}\nB: {x0}"
 
 
 # (backend id, description, text A, text B): what one directed judgment asks.
@@ -43,8 +40,8 @@ def _s_text(s: Hypothesis | str) -> str:
 
 def build_question(s: Hypothesis | str, a: Sample, b: Sample) -> JudgmentRequest:
     return JudgmentRequest(
-        question=QUESTION_TEMPLATE.format(s=_s_text(s)),
-        context=CONTEXT_TEMPLATE.format(x1=a.text, x0=b.text),
+        question=f"{QUESTION_PREFIX}{_s_text(s)}?",
+        context=f"A: {a.text}\nB: {b.text}",
     )
 
 
@@ -85,7 +82,7 @@ class JudgmentCache:
 
     The memo is keyed by the :data:`Judgment` tuple itself; its sha256
     :meth:`key` is computed only to write a row to the store and to look up
-    rows loaded from the store.
+    rows loaded from the store, and at most once per new judgment.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -93,6 +90,7 @@ class JudgmentCache:
         self._memo: dict[Judgment, float] = {}
         self._stored: dict[str, float] = {}
         self._lock = threading.Lock()
+        self._writer = JsonlAppender(self.path) if self.path is not None else None
         if self.path is not None and self.path.exists():
             for row in read_jsonl(self.path):
                 self._stored[row["key"]] = row["value"]
@@ -104,21 +102,35 @@ class JudgmentCache:
         blob = "[" + ", ".join(map(encode_basestring, (backend_id, s, a_text, b_text))) + "]"
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def get(self, judgment: Judgment) -> float | None:
+    def get(self, judgment: Judgment) -> tuple[float | None, str | None]:
+        """The cached value or None, and the row key if this lookup computed it.
+
+        Pass the key on to :meth:`put`, so a new judgment is hashed once.
+        """
         # Single dict reads are atomic; only put() needs the lock.
         value = self._memo.get(judgment)
-        if value is None and self._stored:
-            value = self._stored.get(self.key(*judgment))
-        return value
+        if value is not None or not self._stored:
+            return value, None
+        key = self.key(*judgment)
+        return self._stored.get(key), key
 
-    def put(self, judgment: Judgment, a_id: str, b_id: str, answer: str, value: float) -> None:
+    def put(
+        self,
+        judgment: Judgment,
+        key: str | None,
+        a_id: str,
+        b_id: str,
+        answer: str,
+        value: float,
+    ) -> None:
         with self._lock:
             if judgment in self._memo:
                 return
             self._memo[judgment] = value
-            if self.path is None:
+            if self._writer is None:
                 return
-            key = self.key(*judgment)
+            if key is None:
+                key = self.key(*judgment)
             if key not in self._stored:
                 row = {
                     "key": key,
@@ -128,7 +140,13 @@ class JudgmentCache:
                     "answer": answer,
                     "value": value,
                 }
-                append_jsonl(self.path, row)
+                self._writer.append(row)
+
+    def close(self) -> None:
+        """Close the store's file; a later :meth:`put` opens it again."""
+        if self._writer is not None:
+            with self._lock:
+                self._writer.close()
 
 
 class Verifier:
@@ -161,7 +179,7 @@ class Verifier:
         """One directed judgment in {0, 0.5, 1}; 0.5 is abstention."""
         s_text = _s_text(s)
         judgment = (self.backend.id, s_text, a.text, b.text)
-        cached = self.cache.get(judgment)
+        cached, key = self.cache.get(judgment)
         if cached is not None:
             self._count(cached, failed=False)
             return cached
@@ -176,7 +194,7 @@ class Verifier:
             self._count(ABSTAIN, failed=True)
             return ABSTAIN
         value = _answer_value(answer)
-        self.cache.put(judgment, a.id, b.id, answer, value)
+        self.cache.put(judgment, key, a.id, b.id, answer, value)
         self._count(value, failed=False)
         return value
 

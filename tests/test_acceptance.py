@@ -298,12 +298,13 @@ def test_criterion_09_http_robustness(tmp_path):
         )
         p_store = tmp_path / "proposer-transcript.jsonl"
         v_store = tmp_path / "verifier-transcript.jsonl"
+        proposer = RecordingBackend(HttpBackend(endpoint_cfg), p_store)
+        verifier = RecordingBackend(HttpBackend(endpoint_cfg), v_store)
         recorded = describe_pair(
-            task.pair,
-            config,
-            proposer_backend=RecordingBackend(HttpBackend(endpoint_cfg), p_store),
-            verifier_backend=RecordingBackend(HttpBackend(endpoint_cfg), v_store),
+            task.pair, config, proposer_backend=proposer, verifier_backend=verifier
         )
+        proposer.close()
+        verifier.close()
         hits_after_recording = endpoint_live.hits
         assert hits_after_recording > 0
 

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
+import time
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -292,13 +295,167 @@ def test_http_malformed_success_body(http_server):
         backend.complete(CompletionRequest(prompt="p"))
 
 
-def test_http_unreachable_transport_error():
+def _dead_port():
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
-        dead_port = probe.getsockname()[1]
-    backend = HttpBackend(_endpoint(f"http://127.0.0.1:{dead_port}/v1", retries=2))
+        return probe.getsockname()[1]
+
+
+def test_http_unreachable_transport_error():
+    backend = HttpBackend(_endpoint(f"http://127.0.0.1:{_dead_port()}/v1", retries=2))
     with pytest.raises(TransportError):
         backend.complete(CompletionRequest(prompt="p"))
+
+
+@pytest.fixture
+def netrc_for_localhost(tmp_path, monkeypatch):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login someone password hunter2\n", encoding="utf-8")
+    monkeypatch.setenv("NETRC", str(netrc))
+
+
+def test_http_netrc_sends_no_credential(netrc_for_localhost, http_server):
+    url, script = http_server(lambda path, body: (200, _completion_payload(body)))
+    HttpBackend(_endpoint(url)).complete(CompletionRequest(prompt="p"))
+    assert script.auth_headers == [None]
+
+
+def test_http_netrc_does_not_replace_bearer(netrc_for_localhost, monkeypatch, http_server):
+    url, script = http_server(lambda path, body: (200, _completion_payload(body)))
+    monkeypatch.setenv("DISTDESCRIBE_TEST_KEY", "sekrit")
+    backend = HttpBackend(_endpoint(url, credential_env="DISTDESCRIBE_TEST_KEY"))
+    backend.complete(CompletionRequest(prompt="p"))
+    assert script.auth_headers == ["Bearer sekrit"]
+
+
+_PROXY_VARIABLES = (
+    "http_proxy", "https_proxy", "all_proxy", "no_proxy",
+    "HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY",
+)
+
+
+def test_http_proxy_environment_read_at_construction(monkeypatch, http_server):
+    url, script = http_server(lambda path, body: (200, _completion_payload(body)))
+    for name in _PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{_dead_port()}")
+    proxied = HttpBackend(_endpoint(url, retries=2))
+    with pytest.raises(TransportError):
+        proxied.complete(CompletionRequest(prompt="p"))
+    assert script.hits == 0
+
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    with pytest.raises(TransportError):
+        proxied.complete(CompletionRequest(prompt="p"))  # built before NO_PROXY was set
+    assert HttpBackend(_endpoint(url)).complete(CompletionRequest(prompt="p"))
+    assert script.hits == 1
+
+
+# ------------------------------------------------------------ keep-alive
+
+
+class _KeepAliveCounts:
+    def __init__(self):
+        self.connections = 0
+        self.hits = 0
+        self.lock = threading.Lock()
+
+
+@pytest.fixture
+def keepalive_server():
+    """Start an HTTP/1.1 endpoint that keeps connections open and counts them.
+
+    Each answer's one completion is the request's prompt, so a caller can
+    tell its own answers from another thread's.  A connection idle for
+    ``idle_timeout_s`` is closed by the server.
+    """
+    servers = []
+
+    def start(idle_timeout_s=2.0):
+        counts = _KeepAliveCounts()
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            timeout = idle_timeout_s
+            disable_nagle_algorithm = True
+
+            def setup(self):
+                super().setup()
+                with counts.lock:
+                    counts.connections += 1
+
+            def do_POST(self):
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                with counts.lock:
+                    counts.hits += 1
+                data = json.dumps({"choices": [{"text": body["prompt"]}]}).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return f"http://127.0.0.1:{server.server_address[1]}/v1", counts
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def test_http_sequential_requests_share_one_connection(keepalive_server):
+    url, counts = keepalive_server()
+    backend = HttpBackend(_endpoint(url))
+    for i in range(20):
+        assert backend.complete(CompletionRequest(prompt=f"r{i}")) == [f"r{i}"]
+    assert counts.hits == 20
+    assert counts.connections == 1
+
+
+def test_http_threads_share_one_backend(keepalive_server):
+    url, counts = keepalive_server()
+    backend = HttpBackend(_endpoint(url))
+    wrong: list[tuple[str, list[str]]] = []
+
+    def worker(t):
+        for i in range(25):
+            prompt = f"t{t}-r{i}"
+            texts = backend.complete(CompletionRequest(prompt=prompt))
+            if texts != [prompt]:
+                wrong.append((prompt, texts))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert counts.hits == 200
+    assert counts.connections <= 8
+
+
+def test_http_reconnects_after_server_drops_idle_connection(keepalive_server):
+    url, counts = keepalive_server(idle_timeout_s=0.1)
+    backend = HttpBackend(_endpoint(url, backoff_s=5.0))
+    assert backend.complete(CompletionRequest(prompt="first")) == ["first"]
+    time.sleep(0.3)  # the server has closed the idle connection by now
+    started = time.perf_counter()
+    assert backend.complete(CompletionRequest(prompt="second")) == ["second"]
+    assert time.perf_counter() - started < 1.0  # no backoff sleep
+    assert counts.hits == 2
+    assert counts.connections == 2
 
 
 # ------------------------------------------------------------ record / replay
@@ -314,6 +471,7 @@ def test_record_then_replay_round_trip(tmp_path):
     )
     completions = recorder.complete(creq)
     answer = recorder.judge(jreq)
+    recorder.close()
 
     replay = ReplayBackend(store)
     assert replay.complete(creq) == completions
@@ -327,7 +485,8 @@ def test_replay_missing_store(tmp_path):
 
 def test_replay_unknown_request(tmp_path):
     store = tmp_path / "transcript.jsonl"
-    RecordingBackend(RuleBackend(), store).complete(CompletionRequest(prompt=QUESTION_PROMPT))
+    with closing(RecordingBackend(RuleBackend(), store)) as recorder:
+        recorder.complete(CompletionRequest(prompt=QUESTION_PROMPT))
     replay = ReplayBackend(store)
     with pytest.raises(ReplayMissError):
         replay.complete(CompletionRequest(prompt=QUESTION_PROMPT, n=2))
@@ -356,7 +515,8 @@ JREQ = JudgmentRequest(
 
 def test_replay_skips_torn_final_line(tmp_path):
     store = tmp_path / "transcript.jsonl"
-    answer = RecordingBackend(RuleBackend(), store).judge(JREQ)
+    with closing(RecordingBackend(RuleBackend(), store)) as recorder:
+        answer = recorder.judge(JREQ)
     with open(store, "ab") as fh:
         fh.write(b'{"hash": "0f3a')  # a crash mid-append
     with pytest.warns(UserWarning, match=r"transcript\.jsonl:2: skipping torn final line"):
@@ -366,7 +526,8 @@ def test_replay_skips_torn_final_line(tmp_path):
 
 def test_replay_rejects_corruption_mid_file(tmp_path):
     store = tmp_path / "transcript.jsonl"
-    RecordingBackend(RuleBackend(), store).judge(JREQ)
+    with closing(RecordingBackend(RuleBackend(), store)) as recorder:
+        recorder.judge(JREQ)
     store.write_text("[1, 2]\n" + store.read_text(encoding="utf-8"), encoding="utf-8")
     with pytest.raises(CorruptStoreError, match=r"transcript\.jsonl:1"):
         ReplayBackend(store)
@@ -387,10 +548,24 @@ def test_recording_starts_on_a_fresh_line(tmp_path, tail, kept):
         fh.write(tail)
     creq = CompletionRequest(prompt=QUESTION_PROMPT, n=2)
     completions = recorder.complete(creq)
+    recorder.close()
 
     lines = store.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2 + kept
     assert all(json.loads(line) for line in lines)
+    replay = ReplayBackend(store)
+    assert replay.judge(JREQ) == answer
+    assert replay.complete(creq) == completions
+
+
+def test_closed_recording_reopens_its_transcript(tmp_path):
+    store = tmp_path / "transcript.jsonl"
+    recorder = RecordingBackend(RuleBackend(), store)
+    answer = recorder.judge(JREQ)
+    recorder.close()
+    creq = CompletionRequest(prompt=QUESTION_PROMPT, n=2)
+    completions = recorder.complete(creq)
+    recorder.close()
     replay = ReplayBackend(store)
     assert replay.judge(JREQ) == answer
     assert replay.complete(creq) == completions

@@ -142,13 +142,12 @@ def test_aborted_pipeline_exits_4(tmp_path, capsys):
     save_corpus(task.pair.d1, d1)
     p_store = tmp_path / "proposer.jsonl"
     v_store = tmp_path / "verifier.jsonl"
+    proposer = RecordingBackend(RuleBackend(), p_store)
+    verifier = RecordingBackend(_AbstainingJudge(), v_store)
     with pytest.raises(PipelineAbortedError):
-        describe_pair(
-            task.pair,
-            RunConfig(),
-            proposer_backend=RecordingBackend(RuleBackend(), p_store),
-            verifier_backend=RecordingBackend(_AbstainingJudge(), v_store),
-        )
+        describe_pair(task.pair, RunConfig(), proposer_backend=proposer, verifier_backend=verifier)
+    proposer.close()
+    verifier.close()
     rc = main(
         [
             "describe",

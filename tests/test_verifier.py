@@ -7,6 +7,7 @@ import json
 import shutil
 import threading
 import warnings
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,12 @@ GOLDEN_JUDGMENTS = Path(__file__).parent / "data" / "golden_judgments.jsonl"
 
 def _sample(text, id="t:0"):
     return Sample(id=id, text=text)
+
+
+def _judge_into(path, a, b):
+    """One rule judgment of ``QUESTION`` on (a, b), written to the store at ``path``."""
+    with closing(JudgmentCache(path)) as cache:
+        return Verifier(RuleBackend(), cache).judge(QUESTION, a, b)
 
 
 def test_build_question_templates():
@@ -222,8 +229,7 @@ def test_failures_are_not_cached(tmp_path):
     assert not cache_path.exists() or cache_path.read_text(encoding="utf-8").strip() == ""
 
     # A later healthy run over the same cache file can still record the pair.
-    healthy = Verifier(RuleBackend(), JudgmentCache(cache_path))
-    assert healthy.judge(QUESTION, _sample("a?"), _sample("b")) == 1.0
+    assert _judge_into(cache_path, _sample("a?"), _sample("b")) == 1.0
     assert cache_path.read_text(encoding="utf-8").strip() != ""
 
 
@@ -242,6 +248,7 @@ def test_judgment_cache_deduplicates_backend_calls(tmp_path):
     a, b = _sample("a?", "x:0"), _sample("b", "y:0")
     first = verifier.judge(QUESTION, a, b)
     second = verifier.judge(QUESTION, a, b)
+    verifier.cache.close()
     assert first == second
     assert backend.judge_calls == 1
     assert verifier.judgment_count == 2  # both judgments counted, one served from cache
@@ -250,7 +257,7 @@ def test_judgment_cache_deduplicates_backend_calls(tmp_path):
 def test_judgment_cache_persists_across_instances(tmp_path):
     path = tmp_path / "c.jsonl"
     a, b = _sample("a?", "x:0"), _sample("b", "y:0")
-    Verifier(RuleBackend(), JudgmentCache(path)).judge(QUESTION, a, b)
+    _judge_into(path, a, b)
 
     backend = _CountingJudge()
     verifier = Verifier(backend, JudgmentCache(path))
@@ -269,7 +276,7 @@ def test_abstain_fraction():
 def test_judgment_cache_tolerates_torn_final_line(tmp_path):
     path = tmp_path / "c.jsonl"
     a, b = _sample("a?", "x:0"), _sample("b", "y:0")
-    Verifier(RuleBackend(), JudgmentCache(path)).judge(QUESTION, a, b)
+    _judge_into(path, a, b)
     with open(path, "ab") as fh:
         fh.write(b'{"a_id": "x:0", "answer": "y')  # a crash mid-append
 
@@ -282,6 +289,7 @@ def test_judgment_cache_tolerates_torn_final_line(tmp_path):
 
     # The next append replaces the fragment instead of gluing onto it.
     assert verifier.judge(QUESTION, b, a) == 0.0
+    cache.close()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         reloaded = Verifier(_CountingJudge(), JudgmentCache(path))
@@ -294,7 +302,7 @@ def test_judgment_cache_tolerates_torn_final_line(tmp_path):
 def test_judgment_cache_rejects_corruption_mid_file(tmp_path):
     path = tmp_path / "c.jsonl"
     a, b = _sample("a?", "x:0"), _sample("b", "y:0")
-    Verifier(RuleBackend(), JudgmentCache(path)).judge(QUESTION, a, b)
+    _judge_into(path, a, b)
     path.write_text("{not json\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
     with pytest.raises(CorruptStoreError, match=r"c\.jsonl:1"):
         JudgmentCache(path)
@@ -310,6 +318,56 @@ def test_memo_without_store_never_hashes(monkeypatch):
     est = verifier.estimate_ca(QUESTION, task.pair, n_pairs=300, seed=1)
     assert est.n_pairs == 300
     assert verifier.judgment_count == 600
+
+
+def test_new_judgment_over_loaded_store_hashes_once(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    a, b = _sample("a?", "x:0"), _sample("b", "y:0")
+    _judge_into(path, a, b)
+    cache = JudgmentCache(path)  # one row loaded
+    calls = []
+    key = JudgmentCache.key
+
+    def counting_key(*parts):
+        calls.append(parts)
+        return key(*parts)
+
+    monkeypatch.setattr(JudgmentCache, "key", staticmethod(counting_key))
+    assert Verifier(RuleBackend(), cache).judge(QUESTION, b, a) == 0.0
+    cache.close()
+    assert len(calls) == 1
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 2
+
+
+def test_closed_cache_reopens_its_store(tmp_path):
+    path = tmp_path / "c.jsonl"
+    a, b = _sample("a?", "x:0"), _sample("b", "y:0")
+    cache = JudgmentCache(path)
+    verifier = Verifier(RuleBackend(), cache)
+    verifier.judge(QUESTION, a, b)
+    cache.close()
+    cache.close()  # closing twice is harmless
+    verifier.judge(QUESTION, b, a)
+    cache.close()
+    reloaded = Verifier(_CountingJudge(), JudgmentCache(path))
+    assert reloaded.judge(QUESTION, a, b) == 1.0
+    assert reloaded.judge(QUESTION, b, a) == 0.0
+    assert reloaded.backend.judge_calls == 0
+
+
+def test_describe_pair_closes_the_cache_it_built(tmp_path, monkeypatch):
+    closed = []
+    close = JudgmentCache.close
+
+    def counting_close(self):
+        closed.append(self.path)
+        close(self)
+
+    monkeypatch.setattr(JudgmentCache, "close", counting_close)
+    task = generate_task("question", 0.8, 0.1, 40, seed=5)
+    store = tmp_path / "judgments.jsonl"
+    describe_pair(task.pair, RunConfig(n_pairs=20, cache_path=str(store)))
+    assert closed == [store]
 
 
 class _BarrierJudge(_CountingJudge):
@@ -341,6 +399,7 @@ def test_concurrent_misses_write_one_row(tmp_path):
         thread.start()
     for thread in threads:
         thread.join()
+    verifier.cache.close()
     assert values == [1.0, 1.0]
     assert backend.judge_calls == 2
     assert verifier.judgment_count == 2
