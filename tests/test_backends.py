@@ -128,11 +128,12 @@ def test_request_hash_distinguishes_kinds():
 
 
 class _Script:
-    """Behavior plus hit counter shared between a test and its server."""
+    """Behavior plus request and connection counters shared with the server."""
 
     def __init__(self, behavior):
         self.behavior = behavior
         self.hits = 0
+        self.connections = 0
         self.bodies = []
         self.auth_headers = []
         self.lock = threading.Lock()
@@ -142,10 +143,23 @@ class _Script:
 def http_server():
     servers = []
 
-    def start(behavior):
+    def start(behavior, keep_alive_s=None):
+        # With keep_alive_s: HTTP/1.1, and a connection idle that long is closed.
         script = _Script(behavior)
 
         class Handler(BaseHTTPRequestHandler):
+            if keep_alive_s is not None:
+                protocol_version = "HTTP/1.1"
+                timeout = keep_alive_s
+            # Headers and body go out in two writes; on a kept-alive connection
+            # Nagle would hold the body until the client's delayed ACK.
+            disable_nagle_algorithm = True
+
+            def setup(self):
+                super().setup()
+                with script.lock:
+                    script.connections += 1
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length) or b"{}")
@@ -354,72 +368,21 @@ def test_http_proxy_environment_read_at_construction(monkeypatch, http_server):
 # ------------------------------------------------------------ keep-alive
 
 
-class _KeepAliveCounts:
-    def __init__(self):
-        self.connections = 0
-        self.hits = 0
-        self.lock = threading.Lock()
+def _echo_prompt(path, body):
+    return (200, {"choices": [{"text": body["prompt"]}]})
 
 
-@pytest.fixture
-def keepalive_server():
-    """Start an HTTP/1.1 endpoint that keeps connections open and counts them.
-
-    Each answer's one completion is the request's prompt, so a caller can
-    tell its own answers from another thread's.  A connection idle for
-    ``idle_timeout_s`` is closed by the server.
-    """
-    servers = []
-
-    def start(idle_timeout_s=2.0):
-        counts = _KeepAliveCounts()
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            timeout = idle_timeout_s
-            disable_nagle_algorithm = True
-
-            def setup(self):
-                super().setup()
-                with counts.lock:
-                    counts.connections += 1
-
-            def do_POST(self):
-                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-                with counts.lock:
-                    counts.hits += 1
-                data = json.dumps({"choices": [{"text": body["prompt"]}]}).encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-
-            def log_message(self, *args):
-                pass
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        servers.append(server)
-        return f"http://127.0.0.1:{server.server_address[1]}/v1", counts
-
-    yield start
-    for server in servers:
-        server.shutdown()
-        server.server_close()
-
-
-def test_http_sequential_requests_share_one_connection(keepalive_server):
-    url, counts = keepalive_server()
+def test_http_sequential_requests_share_one_connection(http_server):
+    url, script = http_server(_echo_prompt, keep_alive_s=2.0)
     backend = HttpBackend(_endpoint(url))
     for i in range(20):
         assert backend.complete(CompletionRequest(prompt=f"r{i}")) == [f"r{i}"]
-    assert counts.hits == 20
-    assert counts.connections == 1
+    assert script.hits == 20
+    assert script.connections == 1
 
 
-def test_http_threads_share_one_backend(keepalive_server):
-    url, counts = keepalive_server()
+def test_http_threads_share_one_backend(http_server):
+    url, script = http_server(_echo_prompt, keep_alive_s=2.0)
     backend = HttpBackend(_endpoint(url))
     wrong: list[tuple[str, list[str]]] = []
 
@@ -442,20 +405,20 @@ def test_http_threads_share_one_backend(keepalive_server):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
-    assert counts.hits == 200
-    assert counts.connections <= 8
+    assert script.hits == 200
+    assert script.connections <= 8
 
 
-def test_http_reconnects_after_server_drops_idle_connection(keepalive_server):
-    url, counts = keepalive_server(idle_timeout_s=0.1)
+def test_http_reconnects_after_server_drops_idle_connection(http_server):
+    url, script = http_server(_echo_prompt, keep_alive_s=0.1)
     backend = HttpBackend(_endpoint(url, backoff_s=5.0))
     assert backend.complete(CompletionRequest(prompt="first")) == ["first"]
     time.sleep(0.3)  # the server has closed the idle connection by now
     started = time.perf_counter()
     assert backend.complete(CompletionRequest(prompt="second")) == ["second"]
     assert time.perf_counter() - started < 1.0  # no backoff sleep
-    assert counts.hits == 2
-    assert counts.connections == 2
+    assert script.hits == 2
+    assert script.connections == 2
 
 
 # ------------------------------------------------------------ record / replay
@@ -553,19 +516,6 @@ def test_recording_starts_on_a_fresh_line(tmp_path, tail, kept):
     lines = store.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2 + kept
     assert all(json.loads(line) for line in lines)
-    replay = ReplayBackend(store)
-    assert replay.judge(JREQ) == answer
-    assert replay.complete(creq) == completions
-
-
-def test_closed_recording_reopens_its_transcript(tmp_path):
-    store = tmp_path / "transcript.jsonl"
-    recorder = RecordingBackend(RuleBackend(), store)
-    answer = recorder.judge(JREQ)
-    recorder.close()
-    creq = CompletionRequest(prompt=QUESTION_PROMPT, n=2)
-    completions = recorder.complete(creq)
-    recorder.close()
     replay = ReplayBackend(store)
     assert replay.judge(JREQ) == answer
     assert replay.complete(creq) == completions
