@@ -38,7 +38,6 @@ from .corpus import (
 from .discriminator import (
     Discriminator,
     RepresentativeSet,
-    TrainConfig,
     confidence,
     featurize,
     held_out_accuracy,

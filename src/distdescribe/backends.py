@@ -108,13 +108,12 @@ def _parse_prompt_groups(prompt: str) -> tuple[list[str], list[str]]:
             current = groups.setdefault("1", [])
         elif line == "":
             current = None
-        else:
+        elif current is not None:
+            # Prompts render one sample per line, so every group line is numbered.
             match = _NUMBERED_LINE.match(line)
-            if match is not None and current is not None:
-                current.append(match.group(1))
-            elif current is not None:
-                # continuation of a multi-line sample
-                current[-1] += "\n" + line
+            if match is None:
+                raise UnparseablePromptError(f"unnumbered line inside a group: {line!r}")
+            current.append(match.group(1))
     if not groups.get("0") or not groups.get("1"):
         raise UnparseablePromptError(
             "prompt does not contain both sample groups in the pinned layout"

@@ -64,8 +64,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         help="max tokens per proposer completion",
     )
     p.add_argument("--in-flight", type=int, dest="in_flight", help="concurrent requests")
-    p.add_argument("--epochs", type=int, help="discriminator training epochs")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
     p.add_argument(
         "--proposer-backend",
         dest="proposer_backend",
@@ -239,7 +237,7 @@ def cmd_dump_prompt(args: argparse.Namespace) -> int:
         d0=load_corpus(args.d0, format=args.format),
         d1=load_corpus(args.d1, format=args.format),
     )
-    disc = train(pair, config.train_config)
+    disc = train(pair)
     prompt = first_prompt(pair, disc, config, args.percentile)
     sys.stdout.write(prompt.rendered + "\n")
     return 0

@@ -11,7 +11,6 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .discriminator import TrainConfig
 from .errors import ConfigError
 
 CONFIG_FORMAT = "distdescribe-config-v1"
@@ -54,8 +53,6 @@ class RunConfig:
     stop_sequences: tuple[str, ...] = (",", ".", "\n")
     forbidden_tokens: tuple[str, ...] = ("group", "Group")
     in_flight: int = 4
-    epochs: int = 5
-    learning_rate: float = 0.1
     proposer_backend: str = "rule"
     verifier_backend: str = "rule"
     cache_path: str | None = None
@@ -90,13 +87,6 @@ class RunConfig:
     @property
     def effective_prompt_seed(self) -> int:
         return self.seed if self.prompt_seed is None else self.prompt_seed
-
-    @property
-    def train_config(self) -> TrainConfig:
-        """The discriminator settings this run trains with."""
-        return TrainConfig(
-            epochs=self.epochs, learning_rate=self.learning_rate, seed=self.seed
-        )
 
     def echo(self) -> dict:
         """Full effective configuration as a plain serializable mapping."""

@@ -2,17 +2,19 @@
 
 The classifier's only job is ranking how representative each sample is of
 its own side, so prompts can be built from the most clearly separated
-samples.  A hashed-n-gram logistic regression is enough for that at desk
-scale and keeps the artifact self-contained.
+samples.  Naive-Bayes log-count ratios over hashed n-grams (the ``r`` of
+NBSVM, Wang & Manning 2012) are enough for that at desk scale, fit in
+closed form.  The fit is cross-fitted over ``K_FOLDS`` folds, so every
+sample is ranked by a model that never saw it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -58,43 +60,33 @@ def featurize(text: str) -> dict[int, int]:
     return vector
 
 
-def _log_odds(
-    bias: float, weights: Mapping[int, float] | np.ndarray, features: Iterable[tuple[int, int]]
-) -> float:
-    # Summed left to right in feature insertion order: training, selection
-    # and ad-hoc scoring all add in this one order, so scores match bit for bit.
-    total = bias
-    for index, count in features:
-        total += weights[index] * count
-    return total
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 5
-    learning_rate: float = 0.1
-    seed: int = 0
+K_FOLDS = 5
+ALPHA = 1.0
 
 
 @dataclass(frozen=True)
 class Discriminator:
-    """Trained logistic-regression weights; label 1 means "drawn from d1".
+    """Naive-Bayes log-count ratios; label 1 means "drawn from d1".
 
-    ``scores`` holds the log-odds of every text of the pair it was trained
-    on, computed once by :func:`train`; other texts are scored on demand.
+    ``weights`` and ``bias`` are the fit on every sample of the pair and
+    score ad-hoc texts.  ``scores[side][sample_id]`` is the out-of-fold
+    log-odds of each sample of that pair, from the fit that never saw it.
+    Keys are per sample, not per text: copies of one text in different
+    folds read different fits.
     """
 
-    weights: np.ndarray
+    weights: Mapping[int, float]
     bias: float
-    config: TrainConfig
-    scores: Mapping[str, float] = field(default_factory=dict, repr=False, compare=False)
+    scores: tuple[Mapping[str, float], Mapping[str, float]] = field(
+        default_factory=lambda: ({}, {}), repr=False, compare=False
+    )
 
     def score(self, text: str) -> float:
-        """Signed log-odds that ``text`` came from the d1 side."""
-        known = self.scores.get(text)
-        if known is not None:
-            return known
-        return _log_odds(self.bias, self.weights, featurize(text).items())
+        """Signed log-odds that ``text`` came from the d1 side (full fit)."""
+        weights = self.weights
+        return self.bias + sum(
+            weights.get(index, 0.0) * count for index, count in featurize(text).items()
+        )
 
 
 @dataclass(frozen=True)
@@ -113,81 +105,105 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def _holdout_mask(n: int) -> list[bool]:
-    # Every fifth sample (starting at 0) is held out: a deterministic 80/20
-    # split that gives every non-empty side at least one held-out sample.
-    return [i % 5 == 0 for i in range(n)]
+def _fit_totals(by_fold: np.ndarray) -> np.ndarray:
+    """Per-fold totals (side, fold, ...) to per-fit totals (side, fit, ...).
 
-
-def _split(corpus: Corpus) -> tuple[list[Sample], list[Sample]]:
-    mask = _holdout_mask(len(corpus))
-    train = [s for s, held in zip(corpus.samples, mask) if not held]
-    held = [s for s, held in zip(corpus.samples, mask) if held]
-    return train, held
-
-
-def _compact(vector: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Indices and counts as two tuples take a third of the dict's memory.
-    return tuple(vector), tuple(vector.values())
-
-
-def train(pair: DistributionPair, config: TrainConfig | None = None) -> Discriminator:
-    """Fit logistic regression by per-sample SGD with seeded epoch shuffles.
-
-    Training uses the 80% split of each side; the held-out 20% is scored by
-    :func:`held_out_accuracy`.  Given the same seed and data order the
-    result is bit-identical across runs.  Every sample of both sides is
-    featurized once; the returned model carries all their scores.
+    Fit k < K_FOLDS is every fold but k; the last fit is every sample.
     """
-    config = config or TrainConfig()
+    full = by_fold.sum(axis=1, keepdims=True)
+    return np.concatenate([full - by_fold, full], axis=1)
+
+
+def _log_count_ratios(counts: np.ndarray) -> np.ndarray:
+    """``r_f = log(p_f/|p|_1) - log(q_f/|q|_1)`` per fit; 0 where a fit saw no ``f``.
+
+    ``counts`` is (side, fit, feature); ``p = ALPHA + counts[1]`` and
+    ``q = ALPHA + counts[0]`` over the features the fit saw.  Counts are
+    whole numbers, so every sum here is exact in any order.
+    """
+    seen = (counts[0] > 0) | (counts[1] > 0)
+    p = np.where(seen, ALPHA + counts[1], 0.0)
+    q = np.where(seen, ALPHA + counts[0], 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.log(p / p.sum(axis=1, keepdims=True)) - np.log(
+            q / q.sum(axis=1, keepdims=True)
+        )
+    return np.where(seen, ratios, 0.0)
+
+
+def train(pair: DistributionPair) -> Discriminator:
+    """Fit cross-fitted naive-Bayes log-count ratios (NBSVM's ``r``).
+
+    A sample's fold is its position within its side mod ``K_FOLDS``.  Each
+    sample is scored by the fit on the other folds, so no stored score comes
+    from a model that saw its sample; ``weights`` and ``bias`` are the fit on
+    all samples.  Every sample of both sides is featurized once.
+    """
     if len(pair.d0) < 2 or len(pair.d1) < 2:
         raise DegenerateDataError(
             f"need at least 2 samples per side, got {len(pair.d0)} and {len(pair.d1)}"
         )
 
     sides = (pair.d0, pair.d1)
-    vectors = [[_compact(featurize(s.text)) for s in corpus.samples] for corpus in sides]
-    examples = [
-        (vector, float(label))
-        for label, side in enumerate(vectors)
-        for vector, held in zip(side, _holdout_mask(len(side)))
-        if not held
-    ]
-    # Sparse weights over the features this pair uses, scattered into the
-    # dense array once training is done.
-    w = dict.fromkeys(
-        chain.from_iterable(indices for side in vectors for indices, _ in side), 0.0
-    )
-    bias = 0.0
-    rng = np.random.default_rng(config.seed)
-    for _ in range(config.epochs):
-        for i in rng.permutation(len(examples)).tolist():
-            (indices, counts), label = examples[i]
-            error = _sigmoid(_log_odds(bias, w, zip(indices, counts))) - label
-            step = config.learning_rate * error
-            for index, count in zip(indices, counts):
-                w[index] -= step * count
-            bias -= step
-
-    weights = np.zeros(FEATURE_SPACE, dtype=np.float64)
-    weights[list(w)] = list(w.values())
-    scores = {
-        sample.text: _log_odds(bias, w, zip(*vector))
-        for corpus, side in zip(sides, vectors)
-        for sample, vector in zip(corpus.samples, side)
-    }
+    indices, counts, lengths = array("i"), array("d"), array("i")
+    for corpus in sides:
+        for sample in corpus.samples:
+            vector = featurize(sample.text)
+            indices.extend(vector)
+            counts.extend(vector.values())
+            lengths.append(len(vector))
     # The token memo serves one fit; emptied, it holds no memory between describes.
     feature_index.cache_clear()
-    return Discriminator(weights=weights, bias=bias, config=config, scores=scores)
+
+    lengths = np.frombuffer(lengths, dtype=np.intc)
+    counts = np.frombuffer(counts, dtype=np.float64)
+    features, local = np.unique(np.frombuffer(indices, dtype=np.intc), return_inverse=True)
+    width = len(features)
+    folds = np.concatenate([np.arange(len(corpus)) % K_FOLDS for corpus in sides])
+    groups = np.repeat([0, K_FOLDS], [len(pair.d0), len(pair.d1)]) + folds  # side*K + fold
+
+    by_fold = np.bincount(
+        np.repeat(groups, lengths) * width + local,
+        weights=counts,
+        minlength=2 * K_FOLDS * width,
+    )
+    ratios = _log_count_ratios(_fit_totals(by_fold.reshape(2, K_FOLDS, width)))
+    sizes = _fit_totals(np.bincount(groups, minlength=2 * K_FOLDS).reshape(2, K_FOLDS))
+    biases = np.log(sizes[1] / sizes[0])
+
+    # Sample i is scored by fit folds[i], the one that left its fold out.
+    scores = biases[folds] + np.bincount(
+        np.repeat(np.arange(len(lengths)), lengths),
+        weights=counts * ratios[np.repeat(folds, lengths), local],
+        minlength=len(lengths),
+    )
+    scores = scores.tolist()
+    return Discriminator(
+        weights=dict(zip(features.tolist(), ratios[K_FOLDS].tolist())),
+        bias=float(biases[K_FOLDS]),
+        scores=(
+            {s.id: score for s, score in zip(pair.d0.samples, scores)},
+            {s.id: score for s, score in zip(pair.d1.samples, scores[len(pair.d0) :])},
+        ),
+    )
+
+
+def _sample_score(disc: Discriminator, sample: Sample, side: int) -> float:
+    # A sample of the fitted pair reads its own out-of-fold score, looked up
+    # on ``side`` first; any other sample is scored by the full fit.
+    score = disc.scores[side].get(sample.id)
+    if score is None:
+        score = disc.scores[1 - side].get(sample.id)
+        if score is None:
+            score = disc.score(sample.text)
+    return score
 
 
 def held_out_accuracy(disc: Discriminator, pair: DistributionPair) -> float:
-    """Accuracy on the deterministic 20% holdout of each side."""
-    _, held0 = _split(pair.d0)
-    _, held1 = _split(pair.d1)
-    correct = sum(1 for s in held0 if disc.score(s.text) <= 0)
-    correct += sum(1 for s in held1 if disc.score(s.text) > 0)
-    return correct / (len(held0) + len(held1))
+    """Accuracy of the out-of-fold scores over every sample of both sides."""
+    correct = sum(1 for s in pair.d0.samples if _sample_score(disc, s, 0) <= 0)
+    correct += sum(1 for s in pair.d1.samples if _sample_score(disc, s, 1) > 0)
+    return correct / (len(pair.d0) + len(pair.d1))
 
 
 def confidence(disc: Discriminator, sample: Sample, side: int) -> float:
@@ -198,7 +214,7 @@ def confidence(disc: Discriminator, sample: Sample, side: int) -> float:
     """
     if side not in (0, 1):
         raise ValueError(f"side must be 0 or 1, got {side}")
-    p1 = _sigmoid(disc.score(sample.text))
+    p1 = _sigmoid(_sample_score(disc, sample, side))
     return p1 if side == 1 else 1.0 - p1
 
 

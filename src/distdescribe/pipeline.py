@@ -138,7 +138,7 @@ def describe_pair(
     if verifier_backend is None:
         verifier_backend = make_backend(config.verifier_backend, config.verifier_endpoint)
 
-    disc = train(pair, config.train_config)
+    disc = train(pair)
     candidates: CandidateSet = propose(pair, disc, proposer_backend, config)
 
     pair_seed = config.effective_pair_seed

@@ -185,9 +185,9 @@ def test_criterion_06_cardinalities():
     ranked_counts = {r.ca.n_pairs for r in report.ranked}
     assert ranked_counts == {400}
 
-    from distdescribe.discriminator import TrainConfig, train
+    from distdescribe.discriminator import train
 
-    prompt = first_prompt(task.pair, train(task.pair, TrainConfig()), config)
+    prompt = first_prompt(task.pair, train(task.pair), config)
     assert len(prompt.group1_samples) == 5
     assert len(prompt.group0_samples) == 5
 
@@ -267,7 +267,10 @@ class _ScriptedEndpoint:
                 pass
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=self.server.serve_forever, daemon=True).start()
+        # A short poll keeps shutdown() from waiting out the default 0.5 s.
+        threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        ).start()
         self.base_url = f"http://127.0.0.1:{self.server.server_address[1]}/v1"
 
     def respond(self, body):

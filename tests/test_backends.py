@@ -62,14 +62,13 @@ def test_rule_complete_unparseable_prompt():
         RuleBackend().complete(CompletionRequest(prompt="tell me a story"))
 
 
-def test_parse_prompt_groups_handles_multiline_samples():
+def test_parse_prompt_groups_rejects_unnumbered_line_in_group():
     prompt = (
         "Group 0:\n1. first line\ncontinued here\n2. second\n\n"
         "Group 1:\n1. other side\n\nCompared to group 0, each sentence from group 1"
     )
-    group0, group1 = _parse_prompt_groups(prompt)
-    assert group0 == ["first line\ncontinued here", "second"]
-    assert group1 == ["other side"]
+    with pytest.raises(UnparseablePromptError, match="continued here"):
+        _parse_prompt_groups(prompt)
 
 
 def _judge(s, a, b):
@@ -179,7 +178,10 @@ def http_server():
                 pass
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        # A short poll keeps shutdown() from waiting out the default 0.5 s.
+        threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        ).start()
         servers.append(server)
         url = f"http://127.0.0.1:{server.server_address[1]}/v1"
         return url, script

@@ -1,27 +1,29 @@
-"""Tests for the hashed-feature linear discriminator and representative-sample selection."""
+"""Tests for the cross-fitted naive-Bayes discriminator and representative-sample selection."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from distdescribe.bench import generate_task
-from distdescribe.corpus import Sample
+from distdescribe.cli import main
+from distdescribe.config import CONFIG_FORMAT, parse_config_file
+from distdescribe.corpus import Corpus, DistributionPair, Sample
 from distdescribe.discriminator import (
     FEATURE_SPACE,
+    K_FOLDS,
     Discriminator,
-    TrainConfig,
     confidence,
     featurize,
     held_out_accuracy,
     select_percentile,
     train,
 )
-from distdescribe.errors import DegenerateDataError
+from distdescribe.errors import ConfigError, DegenerateDataError
 
 from conftest import make_pair
 
@@ -58,40 +60,40 @@ def test_featurize_repeated_token_counts():
 
 def test_train_requires_two_per_side():
     with pytest.raises(DegenerateDataError):
-        train(make_pair(["only one"], ["a", "b"]), TrainConfig())
+        train(make_pair(["only one"], ["a", "b"]))
 
 
 def test_train_separable_holdout_accuracy():
-    disc = train(_separable_pair(), TrainConfig())
+    disc = train(_separable_pair())
     assert held_out_accuracy(disc, _separable_pair()) >= 0.95
 
 
-def test_train_deterministic_given_seed():
+def test_train_deterministic():
     pair = _separable_pair()
-    a = train(pair, TrainConfig(seed=7))
-    b = train(pair, TrainConfig(seed=7))
-    assert np.array_equal(a.weights, b.weights)
+    a = train(pair)
+    b = train(pair)
+    assert a.scores == b.scores
     assert a.bias == b.bias
 
 
 def test_train_identical_sides_near_chance():
     texts = [f"the same sentence number {i}" for i in range(60)]
     pair = make_pair(texts, texts)
-    disc = train(pair, TrainConfig())
+    disc = train(pair)
     assert 0.35 <= held_out_accuracy(disc, pair) <= 0.65
 
 
 def test_label_swap_symmetry():
     pair = _separable_pair()
     swapped = make_pair([s.text for s in pair.d1.samples], [s.text for s in pair.d0.samples])
-    acc = held_out_accuracy(train(pair, TrainConfig()), pair)
-    acc_swapped = held_out_accuracy(train(swapped, TrainConfig()), swapped)
+    acc = held_out_accuracy(train(pair), pair)
+    acc_swapped = held_out_accuracy(train(swapped), swapped)
     assert abs(acc - acc_swapped) <= 0.02
 
 
 def test_confidence_complement_identity():
     pair = _separable_pair()
-    disc = train(pair, TrainConfig())
+    disc = train(pair)
     for sample in list(pair.d0.samples)[:50] + list(pair.d1.samples)[:50]:
         c1 = confidence(disc, sample, 1)
         c0 = confidence(disc, sample, 0)
@@ -100,9 +102,7 @@ def test_confidence_complement_identity():
 
 
 def test_confidence_zero_weights_is_half():
-    disc = Discriminator(
-        weights=np.zeros(FEATURE_SPACE), bias=0.0, config=TrainConfig()
-    )
+    disc = Discriminator(weights={}, bias=0.0)
     sample = Sample(id="x:0", text="anything at all")
     assert confidence(disc, sample, 0) == 0.5
     assert confidence(disc, sample, 1) == 0.5
@@ -110,19 +110,19 @@ def test_confidence_zero_weights_is_half():
 
 def test_confidence_high_for_marker_token():
     pair = _separable_pair()
-    disc = train(pair, TrainConfig())
+    disc = train(pair)
     assert confidence(disc, Sample(id="q:0", text="zebra zebra"), 1) > 0.9
 
 
 def test_confidence_rejects_bad_side():
-    disc = train(_separable_pair(), TrainConfig())
+    disc = train(_separable_pair())
     with pytest.raises(ValueError):
         confidence(disc, Sample(id="q:0", text="x"), 2)
 
 
 def test_select_percentile_counts():
     pair = _separable_pair(200)
-    disc = train(pair, TrainConfig())
+    disc = train(pair)
     rep = select_percentile(disc, pair, 5)
     assert len(rep.d1_samples) == 10
     assert len(rep.d0_samples) == 10
@@ -131,7 +131,7 @@ def test_select_percentile_counts():
 
 def test_select_percentile_full():
     pair = _separable_pair(40)
-    disc = train(pair, TrainConfig())
+    disc = train(pair)
     rep = select_percentile(disc, pair, 100)
     assert len(rep.d1_samples) == 40
     confs = [confidence(disc, s, 1) for s in rep.d1_samples]
@@ -143,7 +143,7 @@ def test_select_percentile_small_side_keeps_everything():
         ["alpha one", "alpha two", "alpha three"],
         ["beta one", "beta two", "beta three"],
     )
-    disc = train(pair, TrainConfig())
+    disc = train(pair)
     rep = select_percentile(disc, pair, 5)
     assert len(rep.d1_samples) == 3
     assert len(rep.d0_samples) == 3
@@ -151,14 +151,14 @@ def test_select_percentile_small_side_keeps_everything():
 
 def test_select_percentile_floor_of_five():
     pair = _separable_pair(20)
-    disc = train(pair, TrainConfig())
+    disc = train(pair)
     rep = select_percentile(disc, pair, 5)  # ceil(0.05*20)=1, floor lifts to 5
     assert len(rep.d1_samples) == 5
 
 
 def test_select_percentile_nesting():
     pair = _separable_pair(80)
-    disc = train(pair, TrainConfig())
+    disc = train(pair)
     by_p = {p: select_percentile(disc, pair, p) for p in (5, 20, 100)}
     for side in ("d1_samples", "d0_samples"):
         ids5 = {s.id for s in getattr(by_p[5], side)}
@@ -169,7 +169,7 @@ def test_select_percentile_nesting():
 
 def test_select_percentile_validates_range():
     pair = _separable_pair(10)
-    disc = train(pair, TrainConfig())
+    disc = train(pair)
     with pytest.raises(ValueError):
         select_percentile(disc, pair, 0)
     with pytest.raises(ValueError):
@@ -177,9 +177,14 @@ def test_select_percentile_validates_range():
 
 
 def _discriminator_fingerprint() -> dict:
-    """Weights, bias, holdout accuracy and selections on one fixed noisy task."""
+    """Out-of-fold scores, held-out accuracy and selections on one fixed noisy task."""
     task = generate_task("hyperlink", 0.7, 0.3, 500, seed=11)
-    disc = train(task.pair, TrainConfig())
+    disc = train(task.pair)
+    scores = [
+        repr(disc.scores[side][s.id])
+        for side, corpus in enumerate((task.pair.d0, task.pair.d1))
+        for s in corpus.samples
+    ]
     selected = {}
     for p in (5, 20, 100):
         rep = select_percentile(disc, task.pair, p)
@@ -188,8 +193,7 @@ def _discriminator_fingerprint() -> dict:
             "d0": [s.id for s in rep.d0_samples],
         }
     return {
-        "weights_sha256": hashlib.sha256(disc.weights.tobytes()).hexdigest(),
-        "bias": repr(disc.bias),
+        "scores_sha256": hashlib.sha256("\n".join(scores).encode("utf-8")).hexdigest(),
         "held_out_accuracy": repr(held_out_accuracy(disc, task.pair)),
         "selected": selected,
     }
@@ -199,3 +203,82 @@ def test_discriminator_matches_golden_file():
     """Training and selection are pinned bit for bit across builds."""
     golden = json.loads(GOLDEN_DISCRIMINATOR.read_text(encoding="utf-8"))
     assert _discriminator_fingerprint() == golden
+
+
+def _reference_score(pair, side, position):
+    """Plain-Python naive-Bayes fit on every fold but the sample's own, alpha = 1."""
+    fold = position % K_FOLDS
+    totals = ({}, {})
+    sizes = [0, 0]
+    for label, corpus in enumerate((pair.d0, pair.d1)):
+        for i, sample in enumerate(corpus.samples):
+            if i % K_FOLDS == fold:
+                continue
+            sizes[label] += 1
+            for index, count in featurize(sample.text).items():
+                totals[label][index] = totals[label].get(index, 0) + count
+    vocab = set(totals[0]) | set(totals[1])
+    p = {f: 1 + totals[1].get(f, 0) for f in vocab}
+    q = {f: 1 + totals[0].get(f, 0) for f in vocab}
+    p_norm, q_norm = sum(p.values()), sum(q.values())
+    score = math.log(sizes[1] / sizes[0])
+    text = (pair.d0, pair.d1)[side].samples[position].text
+    for index, count in featurize(text).items():
+        if index in vocab:
+            score += count * (math.log(p[index] / p_norm) - math.log(q[index] / q_norm))
+    return score
+
+
+def test_stored_scores_match_reference_fit_of_other_folds():
+    task = generate_task("question", 0.8, 0.1, 30, seed=3)
+    pair = make_pair(
+        [s.text for s in task.pair.d0.samples[:17]],
+        [s.text for s in task.pair.d1.samples[:12]],
+    )
+    disc = train(pair)
+    assert [len(side) for side in disc.scores] == [17, 12]
+    for side, corpus in enumerate((pair.d0, pair.d1)):
+        for position, sample in enumerate(corpus.samples):
+            expected = _reference_score(pair, side, position)
+            assert math.isclose(disc.scores[side][sample.id], expected, rel_tol=1e-12)
+
+
+def test_sample_score_ignores_features_only_it_has():
+    task = generate_task("question", 0.8, 0.1, 40, seed=3)
+    d1 = list(task.pair.d1.samples)
+    d1[2] = Sample(id=d1[2].id, text=d1[2].text + " zzqx")
+    changed = DistributionPair(
+        d0=task.pair.d0, d1=Corpus(name=task.pair.d1.name, samples=tuple(d1))
+    )
+    key = d1[2].id
+    assert train(changed).scores[1][key] == train(task.pair).scores[1][key]
+
+
+def test_duplicate_texts_read_their_own_fold_score():
+    shared = "is the shared sentence here?"
+    d0 = [f"plain words number {i}" for i in range(10)]
+    d1 = [f"is this question number {i}?" for i in range(10)]
+    d1[0] = d0[1] = shared  # fold 0 of d1, fold 1 of d0
+    pair = make_pair(d0, d1)
+    disc = train(pair)
+    copy1, copy0 = pair.d1.samples[0], pair.d0.samples[1]
+    # Each copy's fit saw only the other copy, on the other side.
+    assert disc.scores[1][copy1.id] < 0 < disc.scores[0][copy0.id]
+    for side, position, sample in ((1, 0, copy1), (0, 1, copy0)):
+        score = disc.scores[side][sample.id]
+        assert math.isclose(score, _reference_score(pair, side, position), rel_tol=1e-12)
+        assert confidence(disc, sample, 1) == confidence(
+            disc, Sample(id=sample.id, text="unrelated"), 1
+        )
+
+
+def test_removed_training_knobs_are_rejected(tmp_path, capsys):
+    path = tmp_path / "run.conf"
+    path.write_text(f"{CONFIG_FORMAT}\nepochs = 5\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown key 'epochs'"):
+        parse_config_file(path)
+    for flag in ("--epochs", "--learning-rate"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["describe", "--d0", "a.jsonl", "--d1", "b.jsonl", flag, "5"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

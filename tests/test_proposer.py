@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from distdescribe.backends import RuleBackend, _parse_prompt_groups
 from distdescribe.config import RunConfig
 from distdescribe.corpus import Sample
-from distdescribe.discriminator import TrainConfig, train
+from distdescribe.discriminator import train
 from distdescribe.errors import AllCompletionsEmptyError, EmptySampleSetError
 from distdescribe.proposer import (
     INSTRUCTION,
@@ -158,7 +158,7 @@ def _noisy_question_pair(n=60):
 def test_propose_counts_and_dedup():
     pair = _noisy_question_pair()
     config = RunConfig()
-    disc = train(pair, TrainConfig())
+    disc = train(pair)
     candidates = propose(pair, disc, RuleBackend(), config)
     expected_raw = (
         len(config.percentiles) * config.sets_per_percentile * config.completions_per_set
@@ -172,7 +172,7 @@ def test_propose_counts_and_dedup():
 def test_propose_deterministic():
     pair = _noisy_question_pair()
     config = RunConfig(seed=11)
-    disc = train(pair, TrainConfig(seed=11))
+    disc = train(pair)
     first = propose(pair, disc, RuleBackend(), config)
     second = propose(pair, disc, RuleBackend(), config)
     assert [h.s for h in first.hypotheses] == [h.s for h in second.hypotheses]
@@ -180,7 +180,7 @@ def test_propose_deterministic():
 
 def test_propose_finds_question_signal():
     pair = _noisy_question_pair()
-    disc = train(pair, TrainConfig())
+    disc = train(pair)
     candidates = propose(pair, disc, RuleBackend(), RunConfig())
     assert "contains a question mark" in [h.s for h in candidates.hypotheses]
 
@@ -188,7 +188,7 @@ def test_propose_finds_question_signal():
 def test_propose_provenance_recorded():
     pair = _noisy_question_pair()
     config = RunConfig()
-    disc = train(pair, TrainConfig())
+    disc = train(pair)
     candidates = propose(pair, disc, RuleBackend(), config)
     for hyp in candidates.hypotheses:
         assert hyp.provenance is not None
@@ -205,7 +205,7 @@ class _EmptyBackend(RuleBackend):
 
 def test_propose_all_empty_raises():
     pair = _noisy_question_pair()
-    disc = train(pair, TrainConfig())
+    disc = train(pair)
     with pytest.raises(AllCompletionsEmptyError):
         propose(pair, disc, _EmptyBackend(), RunConfig())
 
@@ -214,7 +214,7 @@ def test_first_prompt_is_prefix_of_run():
     """first_prompt reproduces the initial prompt the full proposer would send."""
     pair = _noisy_question_pair()
     config = RunConfig(seed=4)
-    disc = train(pair, TrainConfig(seed=4))
+    disc = train(pair)
     preview = first_prompt(pair, disc, config)
     assert preview.rendered.endswith(INSTRUCTION)
     assert len(preview.group1_samples) == config.samples_per_side
@@ -225,7 +225,7 @@ def test_first_prompt_is_prefix_of_run():
 def test_first_prompt_respects_percentile_argument():
     pair = _noisy_question_pair()
     config = RunConfig(seed=4)
-    disc = train(pair, TrainConfig(seed=4))
+    disc = train(pair)
     default = first_prompt(pair, disc, config)
     full = first_prompt(pair, disc, config, percentile=100)
     assert default.rendered != "" and full.rendered != ""
