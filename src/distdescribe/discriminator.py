@@ -145,18 +145,19 @@ def train(pair: DistributionPair) -> Discriminator:
         )
 
     sides = (pair.d0, pair.d1)
-    indices, counts, lengths = array("i"), array("d"), array("i")
+    indices, counts, lengths = array("i"), array("i"), array("i")
     for corpus in sides:
         for sample in corpus.samples:
             vector = featurize(sample.text)
-            indices.extend(vector)
-            counts.extend(vector.values())
+            # fromlist copies at C speed; extend() from a dict view goes item by item.
+            indices.fromlist(list(vector))
+            counts.fromlist(list(vector.values()))
             lengths.append(len(vector))
     # The token memo serves one fit; emptied, it holds no memory between describes.
     feature_index.cache_clear()
 
     lengths = np.frombuffer(lengths, dtype=np.intc)
-    counts = np.frombuffer(counts, dtype=np.float64)
+    counts = np.frombuffer(counts, dtype=np.intc)
     features, local = np.unique(np.frombuffer(indices, dtype=np.intc), return_inverse=True)
     width = len(features)
     folds = np.concatenate([np.arange(len(corpus)) % K_FOLDS for corpus in sides])
@@ -177,14 +178,11 @@ def train(pair: DistributionPair) -> Discriminator:
         weights=counts * ratios[np.repeat(folds, lengths), local],
         minlength=len(lengths),
     )
-    scores = scores.tolist()
+    values = iter(scores.tolist())
     return Discriminator(
         weights=dict(zip(features.tolist(), ratios[K_FOLDS].tolist())),
         bias=float(biases[K_FOLDS]),
-        scores=(
-            {s.id: score for s, score in zip(pair.d0.samples, scores)},
-            {s.id: score for s, score in zip(pair.d1.samples, scores[len(pair.d0) :])},
-        ),
+        scores=tuple({s.id: next(values) for s in corpus.samples} for corpus in sides),
     )
 
 
@@ -214,7 +212,11 @@ def confidence(disc: Discriminator, sample: Sample, side: int) -> float:
     """
     if side not in (0, 1):
         raise ValueError(f"side must be 0 or 1, got {side}")
-    p1 = _sigmoid(_sample_score(disc, sample, side))
+    # Selection calls this once per sample, so the stored score is read inline.
+    score = disc.scores[side].get(sample.id)
+    if score is None:
+        score = _sample_score(disc, sample, side)
+    p1 = _sigmoid(score)
     return p1 if side == 1 else 1.0 - p1
 
 
