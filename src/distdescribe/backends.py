@@ -25,7 +25,7 @@ import warnings
 from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import requests
 
@@ -308,6 +308,20 @@ def read_jsonl(path: Path) -> Iterator[dict]:
             yield row
 
 
+def unusable_row(path: Path, usable: Callable[[dict], bool], need: str) -> CorruptStoreError:
+    """The error naming the first row of ``path`` that parses but ``usable`` rejects."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            row = _parse_row(line)
+            if row is not None and not usable(row):
+                return CorruptStoreError(f"{path}:{lineno}: {need}")
+    return CorruptStoreError(f"{path}: {need}")
+
+
+def _usable_transcript_row(row: dict) -> bool:
+    return isinstance(row.get("hash"), str) and "response" in row
+
+
 class JsonlAppender:
     """Appends rows to one JSONL store through a handle kept open between rows.
 
@@ -392,8 +406,13 @@ class ReplayBackend(Backend):
         if not self.store_path.exists():
             raise ReplayMissError(f"transcript not found: {self.store_path}")
         self._by_hash: dict[str, deque] = {}
-        for row in read_jsonl(self.store_path):
-            self._by_hash.setdefault(row["hash"], deque()).append(row["response"])
+        try:
+            for row in read_jsonl(self.store_path):
+                self._by_hash.setdefault(row["hash"], deque()).append(row["response"])
+        except (KeyError, TypeError):
+            raise unusable_row(
+                self.store_path, _usable_transcript_row, 'a row needs a "hash" and a "response"'
+            ) from None
         self._lock = threading.Lock()
 
     def _serve(self, req) -> object:

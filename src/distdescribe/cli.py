@@ -30,7 +30,6 @@ from .pipeline import (
     Report,
     describe_pair,
     label_clusters,
-    report_json,
     report_table,
     shift_report,
     shortcut_scan,
@@ -110,22 +109,27 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return build_config(file_values, flag_values)
 
 
-def _write_out(config: RunConfig, document: str) -> None:
+def _load_pair(args: argparse.Namespace) -> DistributionPair:
+    return DistributionPair(
+        d0=load_corpus(args.d0, format=args.format),
+        d1=load_corpus(args.d1, format=args.format),
+    )
+
+
+def _write_out(config: RunConfig, doc: dict) -> None:
     if config.out_path:
-        Path(config.out_path).write_text(document, encoding="utf-8")
+        text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        Path(config.out_path).write_text(text, encoding="utf-8")
 
 
 def _emit_report(config: RunConfig, report: Report) -> None:
-    _write_out(config, report_json(report))
+    _write_out(config, report.to_dict())
     sys.stdout.write(report_table(report))
 
 
 def cmd_describe(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    pair = DistributionPair(
-        d0=load_corpus(args.d0, format=args.format),
-        d1=load_corpus(args.d1, format=args.format),
-    )
+    pair = _load_pair(args)
     report = describe_pair(pair, config)
     _emit_report(config, report)
     return 0
@@ -140,7 +144,7 @@ def cmd_label_clusters(args: argparse.Namespace) -> int:
         "kind": "label-clusters",
         "clusters": {cid: rep.to_dict() for cid, rep in reports.items()},
     }
-    _write_out(config, json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+    _write_out(config, doc)
     for cid in sorted(reports):
         sys.stdout.write(f"=== cluster {cid} ===\n")
         sys.stdout.write(report_table(reports[cid]))
@@ -170,9 +174,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 raise UnknownClusterError(f"label {label!r} not present in {args.input}")
         labeled = {label: labeled[label] for label in wanted}
     scan = shortcut_scan(labeled, config)
-    _write_out(
-        config, json.dumps(scan.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    )
+    _write_out(config, scan.to_dict())
     for (label0, label1), rep in scan.reports:
         sys.stdout.write(f"=== {label1} vs {label0} ===\n")
         sys.stdout.write(report_table(rep))
@@ -182,10 +184,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    pair = DistributionPair(
-        d0=load_corpus(args.d0, format=args.format),
-        d1=load_corpus(args.d1, format=args.format),
-    )
+    pair = _load_pair(args)
     backend = make_backend(config.verifier_backend, config.verifier_endpoint)
     with closing(JudgmentCache(config.cache_path)) as cache:
         est = Verifier(backend, cache).estimate_ca(
@@ -194,9 +193,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             n_pairs=config.n_pairs,
             seed=config.effective_pair_seed,
         )
-    _write_out(
-        config, json.dumps(est.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    _write_out(config, est.to_dict())
     mode = "exhaustive" if est.exhaustive else f"sampled seed={est.seed}"
     sys.stdout.write(
         f"CA {est.mean:.3f} stderr {est.stderr:.3f} (n_pairs={est.n_pairs}, {mode})\n"
@@ -208,9 +205,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     tasks = load_suite(args.suite)
     report = run_bench(tasks, config)
-    _write_out(
-        config, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    _write_out(config, report.to_dict())
     sys.stdout.write(report.table())
     return 0
 
@@ -233,12 +228,9 @@ def cmd_gen_bench(args: argparse.Namespace) -> int:
 
 def cmd_dump_prompt(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    pair = DistributionPair(
-        d0=load_corpus(args.d0, format=args.format),
-        d1=load_corpus(args.d1, format=args.format),
-    )
+    pair = _load_pair(args)
     disc = train(pair)
-    prompt = first_prompt(pair, disc, config, args.percentile)
+    prompt = first_prompt(disc, config, args.percentile)
     sys.stdout.write(prompt.rendered + "\n")
     return 0
 

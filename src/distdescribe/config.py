@@ -61,17 +61,23 @@ class RunConfig:
     verifier_endpoint: EndpointConfig = field(default_factory=EndpointConfig)
 
     def __post_init__(self) -> None:
-        if self.n_pairs < 1:
-            raise ConfigError(f"n_pairs must be >= 1, got {self.n_pairs}")
-        if self.top_k < 1:
-            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
+        for name in (
+            "n_pairs",
+            "top_k",
+            "sets_per_percentile",
+            "completions_per_set",
+            "max_completion_tokens",
+            "in_flight",
+        ):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 1 <= self.samples_per_side <= 5:
+            raise ConfigError(f"samples_per_side must be in [1, 5], got {self.samples_per_side}")
         if not self.percentiles:
             raise ConfigError("percentiles must be non-empty")
         for p in self.percentiles:
             if not 1 <= p <= 100:
                 raise ConfigError(f"percentile out of range: {p}")
-        if self.in_flight < 1:
-            raise ConfigError(f"in_flight must be >= 1, got {self.in_flight}")
         for name in ("proposer_backend", "verifier_backend"):
             selector = getattr(self, name)
             if selector not in BACKEND_CHOICES and not selector.startswith("replay:"):

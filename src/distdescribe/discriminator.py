@@ -13,12 +13,12 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .corpus import Corpus, DistributionPair, Sample
+from .corpus import DistributionPair, Sample
 from .errors import DegenerateDataError
 
 FEATURE_SPACE = 1 << 18
@@ -66,27 +66,17 @@ ALPHA = 1.0
 
 @dataclass(frozen=True)
 class Discriminator:
-    """Naive-Bayes log-count ratios; label 1 means "drawn from d1".
+    """Out-of-fold scores and per-side rankings of one pair; label 1 means "drawn from d1".
 
-    ``weights`` and ``bias`` are the fit on every sample of the pair and
-    score ad-hoc texts.  ``scores[side][sample_id]`` is the out-of-fold
-    log-odds of each sample of that pair, from the fit that never saw it.
-    Keys are per sample, not per text: copies of one text in different
-    folds read different fits.
+    ``scores[side][sample_id]`` is the log-odds of each sample of the fitted
+    pair, from the fit that never saw it.  Keys are per sample, not per
+    text: copies of one text in different folds read different fits.
+    ``ranked[side]`` is that side's samples by descending :func:`confidence`
+    in their own side, ties broken by sample id ascending.
     """
 
-    weights: Mapping[int, float]
-    bias: float
-    scores: tuple[Mapping[str, float], Mapping[str, float]] = field(
-        default_factory=lambda: ({}, {}), repr=False, compare=False
-    )
-
-    def score(self, text: str) -> float:
-        """Signed log-odds that ``text`` came from the d1 side (full fit)."""
-        weights = self.weights
-        return self.bias + sum(
-            weights.get(index, 0.0) * count for index, count in featurize(text).items()
-        )
+    scores: tuple[Mapping[str, float], Mapping[str, float]]
+    ranked: tuple[tuple[Sample, ...], tuple[Sample, ...]]
 
 
 @dataclass(frozen=True)
@@ -108,10 +98,9 @@ def _sigmoid(z: float) -> float:
 def _fit_totals(by_fold: np.ndarray) -> np.ndarray:
     """Per-fold totals (side, fold, ...) to per-fit totals (side, fit, ...).
 
-    Fit k < K_FOLDS is every fold but k; the last fit is every sample.
+    Fit k is every fold but k.
     """
-    full = by_fold.sum(axis=1, keepdims=True)
-    return np.concatenate([full - by_fold, full], axis=1)
+    return by_fold.sum(axis=1, keepdims=True) - by_fold
 
 
 def _log_count_ratios(counts: np.ndarray) -> np.ndarray:
@@ -136,8 +125,8 @@ def train(pair: DistributionPair) -> Discriminator:
 
     A sample's fold is its position within its side mod ``K_FOLDS``.  Each
     sample is scored by the fit on the other folds, so no stored score comes
-    from a model that saw its sample; ``weights`` and ``bias`` are the fit on
-    all samples.  Every sample of both sides is featurized once.
+    from a model that saw its sample.  Every sample of both sides is
+    featurized once, and each side is ranked once.
     """
     if len(pair.d0) < 2 or len(pair.d1) < 2:
         raise DegenerateDataError(
@@ -179,45 +168,42 @@ def train(pair: DistributionPair) -> Discriminator:
         minlength=len(lengths),
     )
     values = iter(scores.tolist())
-    return Discriminator(
-        weights=dict(zip(features.tolist(), ratios[K_FOLDS].tolist())),
-        bias=float(biases[K_FOLDS]),
-        scores=tuple({s.id: next(values) for s in corpus.samples} for corpus in sides),
+    by_side = tuple({s.id: next(values) for s in corpus.samples} for corpus in sides)
+    ranked = tuple(
+        tuple(sorted(corpus.samples, key=lambda s: (-_confidence(own[s.id], side), s.id)))
+        for side, (corpus, own) in enumerate(zip(sides, by_side))
     )
+    return Discriminator(scores=by_side, ranked=ranked)
 
 
-def _sample_score(disc: Discriminator, sample: Sample, side: int) -> float:
-    # A sample of the fitted pair reads its own out-of-fold score, looked up
-    # on ``side`` first; any other sample is scored by the full fit.
-    score = disc.scores[side].get(sample.id)
-    if score is None:
-        score = disc.scores[1 - side].get(sample.id)
-        if score is None:
-            score = disc.score(sample.text)
-    return score
-
-
-def held_out_accuracy(disc: Discriminator, pair: DistributionPair) -> float:
+def held_out_accuracy(disc: Discriminator) -> float:
     """Accuracy of the out-of-fold scores over every sample of both sides."""
-    correct = sum(1 for s in pair.d0.samples if _sample_score(disc, s, 0) <= 0)
-    correct += sum(1 for s in pair.d1.samples if _sample_score(disc, s, 1) > 0)
-    return correct / (len(pair.d0) + len(pair.d1))
+    d0, d1 = disc.scores
+    correct = sum(1 for score in d0.values() if score <= 0)
+    correct += sum(1 for score in d1.values() if score > 0)
+    return correct / (len(d0) + len(d1))
+
+
+def _confidence(score: float, side: int) -> float:
+    p1 = _sigmoid(score)
+    return p1 if side == 1 else 1.0 - p1
 
 
 def confidence(disc: Discriminator, sample: Sample, side: int) -> float:
     """Probability the model assigns to ``sample`` belonging to ``side``.
 
     The two sides are exact complements: confidence(x, 1) + confidence(x, 0)
-    is 1.0 by construction.
+    is 1.0 by construction.  ``sample`` must belong to the fitted pair; its
+    stored score is looked up on ``side`` first.
     """
     if side not in (0, 1):
         raise ValueError(f"side must be 0 or 1, got {side}")
-    # Selection calls this once per sample, so the stored score is read inline.
     score = disc.scores[side].get(sample.id)
     if score is None:
-        score = _sample_score(disc, sample, side)
-    p1 = _sigmoid(score)
-    return p1 if side == 1 else 1.0 - p1
+        score = disc.scores[1 - side].get(sample.id)
+        if score is None:
+            raise KeyError(f"sample {sample.id!r} is not in the fitted pair")
+    return _confidence(score, side)
 
 
 def _kept_count(n: int, percentile: int) -> int:
@@ -225,25 +211,17 @@ def _kept_count(n: int, percentile: int) -> int:
     return min(n, max(math.ceil(percentile * n / 100), 5))
 
 
-def select_percentile(
-    disc: Discriminator, pair: DistributionPair, percentile: int
-) -> RepresentativeSet:
+def select_percentile(disc: Discriminator, percentile: int) -> RepresentativeSet:
     """Keep the most confidently classified samples of each side.
 
-    Ties are broken by sample id ascending so selection is deterministic.
+    The kept samples are a prefix of the side's ranking, so the sets of a
+    smaller and a larger percentile nest.
     """
     if not 1 <= percentile <= 100:
         raise ValueError(f"percentile must be in [1, 100], got {percentile}")
-
-    def top(corpus: Corpus, side: int) -> tuple[Sample, ...]:
-        ranked = sorted(
-            corpus.samples, key=lambda s: (-confidence(disc, s, side), s.id)
-        )
-        return tuple(ranked[: _kept_count(len(corpus), percentile)])
-
+    d0, d1 = disc.ranked
     return RepresentativeSet(
         percentile=percentile,
-        d1_samples=top(pair.d1, 1),
-        d0_samples=top(pair.d0, 0),
+        d1_samples=d1[: _kept_count(len(d1), percentile)],
+        d0_samples=d0[: _kept_count(len(d0), percentile)],
     )
-

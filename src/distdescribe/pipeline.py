@@ -139,7 +139,7 @@ def describe_pair(
         verifier_backend = make_backend(config.verifier_backend, config.verifier_endpoint)
 
     disc = train(pair)
-    candidates: CandidateSet = propose(pair, disc, proposer_backend, config)
+    candidates: CandidateSet = propose(disc, proposer_backend, config)
 
     pair_seed = config.effective_pair_seed
     with closing(JudgmentCache(config.cache_path)) as cache:
@@ -151,9 +151,8 @@ def describe_pair(
         with ThreadPoolExecutor(max_workers=config.in_flight) as pool:
             scored = list(pool.map(score, candidates.hypotheses))
 
-    total = verifier.judgment_count
-    if total and verifier.abstain_count / total > 0.5:
-        raise PipelineAbortedError(verifier.abstain_count, total)
+    if verifier.abstain_fraction > 0.5:
+        raise PipelineAbortedError(verifier.abstain_count, verifier.judgment_count)
 
     scored.sort(key=lambda item: (-item[1].mean, item[0].s))
     ranked = tuple(
@@ -171,7 +170,7 @@ def describe_pair(
         warnings.append(NO_SIGNIFICANT_DIFFERENCE)
     if verifier.abstain_count:
         warnings.append(
-            f"{verifier.abstain_count} of {total} judgments abstained"
+            f"{verifier.abstain_count} of {verifier.judgment_count} judgments abstained"
         )
     if verifier.failed_count:
         warnings.append(

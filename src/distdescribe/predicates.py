@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 _PUNCT = string.punctuation + "“”‘’…"
 
@@ -51,10 +51,12 @@ def _drop_words(vocabulary: frozenset[str], extra: Callable[[str], bool] | None 
     return edit
 
 
-def _strip_chars(chars: str) -> Callable[[str], str]:
+def _strip(parts: Iterable[str]) -> Callable[[str], str]:
+    """Remove every occurrence of each part in turn, then collapse runs of spaces."""
+
     def edit(text: str) -> str:
-        for ch in chars:
-            text = text.replace(ch, "")
+        for part in parts:
+            text = text.replace(part, "")
         return re.sub(r" {2,}", " ", text).strip()
 
     return edit
@@ -132,18 +134,6 @@ def _insert_comma(text: str) -> str:
     return f"{head}, {tail}" if tail else head + ","
 
 
-def _strip_abbreviations(text: str) -> str:
-    for abbr in _ABBREVIATIONS:
-        text = text.replace(abbr, "")
-    return re.sub(r" {2,}", " ", text).strip()
-
-
-def _strip_emoticons(text: str) -> str:
-    for emoticon in _EMOTICONS:
-        text = text.replace(emoticon, "")
-    return re.sub(r" {2,}", " ", text).strip()
-
-
 def _hyperlink_score(text: str) -> float:
     return min(len(_LINK_RE.findall(text)) / 3.0, 1.0)
 
@@ -158,14 +148,14 @@ PREDICATES: tuple[Predicate, ...] = (
         "contains a question mark",
         _binary(lambda t: "?" in t),
         lambda t: t.rstrip() + "?",
-        _strip_chars("?"),
+        _strip("?"),
     ),
     Predicate(
         "exclamation",
         "contains an exclamation mark",
         _binary(lambda t: "!" in t),
         lambda t: t.rstrip() + "!",
-        _strip_chars("!"),
+        _strip("!"),
     ),
     Predicate(
         "zebra",
@@ -233,7 +223,7 @@ PREDICATES: tuple[Predicate, ...] = (
         "contains an emoticon",
         _binary(lambda t: any(e in t for e in _EMOTICONS)),
         lambda t: t + " :)",
-        _strip_emoticons,
+        _strip(_EMOTICONS),
     ),
     Predicate(
         "past_tense",
@@ -258,42 +248,42 @@ PREDICATES: tuple[Predicate, ...] = (
         "contains quoted speech",
         _binary(lambda t: '"' in t or "“" in t),
         lambda t: t + ' "just so"',
-        _strip_chars('"“”'),
+        _strip('"“”'),
     ),
     Predicate(
         "money",
         "mentions money or prices",
         _binary(lambda t: "$" in t or any(w in _MONEY_WORDS for w in _words(t))),
         lambda t: t + " for ten dollars",
-        lambda t: _strip_chars("$")(_drop_words(_MONEY_WORDS)(t)),
+        lambda t: _strip("$")(_drop_words(_MONEY_WORDS)(t)),
     ),
     Predicate(
         "ellipsis",
         "trails off with an ellipsis",
         _binary(lambda t: "..." in t or "…" in t),
         lambda t: t + "...",
-        lambda t: re.sub(r" {2,}", " ", t.replace("...", "").replace("…", "")).strip(),
+        _strip(("...", "…")),
     ),
     Predicate(
         "comma",
         "contains a comma",
         _binary(lambda t: "," in t),
         _insert_comma,
-        _strip_chars(","),
+        _strip(","),
     ),
     Predicate(
         "semicolon",
         "contains a semicolon",
         _binary(lambda t: ";" in t),
         lambda t: t + "; so it goes",
-        _strip_chars(";"),
+        _strip(";"),
     ),
     Predicate(
         "parentheses",
         "contains a parenthetical remark",
         _binary(lambda t: "(" in t and ")" in t),
         lambda t: t + " (more or less)",
-        _strip_chars("()"),
+        _strip("()"),
     ),
     Predicate(
         "second_person",
@@ -317,7 +307,7 @@ PREDICATES: tuple[Predicate, ...] = (
         "contains a hashtag",
         _binary(lambda t: bool(_HASHTAG_RE.search(t))),
         lambda t: t + " #update",
-        _strip_chars("#"),
+        _strip("#"),
     ),
     Predicate(
         "email",
@@ -331,7 +321,7 @@ PREDICATES: tuple[Predicate, ...] = (
         "uses an abbreviation",
         _binary(lambda t: any(a in t for a in _ABBREVIATIONS)),
         lambda t: t + " etc.",
-        _strip_abbreviations,
+        _strip(_ABBREVIATIONS),
     ),
     Predicate(
         "weather",

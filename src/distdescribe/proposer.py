@@ -13,13 +13,14 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
 from .backends import Backend, CompletionRequest
 from .config import RunConfig
-from .corpus import DistributionPair, Sample
-from .discriminator import Discriminator, RepresentativeSet, select_percentile
+from .corpus import Sample
+from .discriminator import Discriminator, select_percentile
 from .errors import AllCompletionsEmptyError, EmptySampleSetError
 
 INSTRUCTION = "Compared to group 0, each sentence from group 1"
@@ -174,33 +175,25 @@ def _draw_group(pool: tuple[Sample, ...], rng: np.random.Generator, k: int) -> l
     return [pool[int(i)] for i in indices]
 
 
-def _prompt_for_set(
-    rep: RepresentativeSet, rng: np.random.Generator, samples_per_side: int
-) -> ProposerPrompt:
-    set1 = _draw_group(rep.d1_samples, rng, samples_per_side)
-    set0 = _draw_group(rep.d0_samples, rng, samples_per_side)
-    return build_prompt(set1, set0)
+def _prompts(disc: Discriminator, config: RunConfig, percentile: int) -> Iterator[ProposerPrompt]:
+    """The ``sets_per_percentile`` prompts of one percentile, in run order."""
+    rep = select_percentile(disc, percentile)
+    rng = np.random.default_rng([config.effective_prompt_seed, percentile])
+    for _ in range(config.sets_per_percentile):
+        set1 = _draw_group(rep.d1_samples, rng, config.samples_per_side)
+        set0 = _draw_group(rep.d0_samples, rng, config.samples_per_side)
+        yield build_prompt(set1, set0)
 
 
 def first_prompt(
-    pair: DistributionPair,
-    disc: Discriminator,
-    config: RunConfig,
-    percentile: int | None = None,
+    disc: Discriminator, config: RunConfig, percentile: int | None = None
 ) -> ProposerPrompt:
     """The first prompt a run would issue for ``percentile`` (inspection aid)."""
     p = config.percentiles[0] if percentile is None else percentile
-    rep = select_percentile(disc, pair, p)
-    rng = np.random.default_rng([config.effective_prompt_seed, p])
-    return _prompt_for_set(rep, rng, config.samples_per_side)
+    return next(_prompts(disc, config, p))
 
 
-def propose(
-    pair: DistributionPair,
-    disc: Discriminator,
-    backend: Backend,
-    config: RunConfig,
-) -> CandidateSet:
+def propose(disc: Discriminator, backend: Backend, config: RunConfig) -> CandidateSet:
     """Collect, normalize, and deduplicate candidate hypotheses.
 
     For each percentile, ``sets_per_percentile`` sample sets are drawn with
@@ -211,10 +204,7 @@ def propose(
     """
     tasks: list[tuple[int, int, CompletionRequest]] = []
     for p in config.percentiles:
-        rep = select_percentile(disc, pair, p)
-        rng = np.random.default_rng([config.effective_prompt_seed, p])
-        for set_index in range(config.sets_per_percentile):
-            prompt = _prompt_for_set(rep, rng, config.samples_per_side)
+        for set_index, prompt in enumerate(_prompts(disc, config, p)):
             req = CompletionRequest(
                 prompt=prompt.rendered,
                 n=config.completions_per_set,

@@ -22,12 +22,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends import QUESTION_PREFIX, Backend, JsonlAppender, JudgmentRequest, read_jsonl
+from .backends import (
+    QUESTION_PREFIX,
+    Backend,
+    JsonlAppender,
+    JudgmentRequest,
+    read_jsonl,
+    unusable_row,
+)
 from .corpus import DistributionPair, Sample
 from .errors import AuthError, BackendError, ReplayMissError
-from .proposer import Hypothesis
+from .proposer import Hypothesis, _one_line
 
 ABSTAIN = 0.5
+_VALUES = (0.0, ABSTAIN, 1.0)
 
 
 # (backend id, description, text A, text B): what one directed judgment asks.
@@ -39,9 +47,10 @@ def _s_text(s: Hypothesis | str) -> str:
 
 
 def build_question(s: Hypothesis | str, a: Sample, b: Sample) -> JudgmentRequest:
+    # One line per sample, so a newline inside A cannot read back as "B: ".
     return JudgmentRequest(
         question=f"{QUESTION_PREFIX}{_s_text(s)}?",
-        context=f"A: {a.text}\nB: {b.text}",
+        context=f"A: {_one_line(a.text)}\nB: {_one_line(b.text)}",
     )
 
 
@@ -77,12 +86,18 @@ def _answer_value(answer: str) -> float:
     return ABSTAIN
 
 
+def _usable_row(row: dict) -> bool:
+    return isinstance(row.get("key"), str) and row.get("value") in _VALUES
+
+
 class JudgmentCache:
     """In-memory judgment memo with an optional append-only jsonl store.
 
     The memo is keyed by the :data:`Judgment` tuple itself; its sha256
     :meth:`key` is computed only to write a row to the store and to look up
-    rows loaded from the store, and at most once per new judgment.
+    rows loaded from the store, and at most once per new judgment.  Store
+    rows are checked once loaded: a row without a ``key`` or ``value``, or a
+    loaded value other than 0, 0.5 or 1, raises :class:`CorruptStoreError`.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -92,8 +107,17 @@ class JudgmentCache:
         self._lock = threading.Lock()
         self._writer = JsonlAppender(self.path) if self.path is not None else None
         if self.path is not None and self.path.exists():
-            for row in read_jsonl(self.path):
-                self._stored[row["key"]] = row["value"]
+            # Checked once loaded, not row by row: a store is read per describe.
+            try:
+                for row in read_jsonl(self.path):
+                    self._stored[row["key"]] = row["value"]
+                usable = set(self._stored.values()).issubset(_VALUES)
+            except (KeyError, TypeError):
+                usable = False
+            if not usable:
+                raise unusable_row(
+                    self.path, _usable_row, 'a row needs a "key" and a "value" of 0, 0.5 or 1'
+                )
 
     @staticmethod
     def key(backend_id: str, s: str, a_text: str, b_text: str) -> str:

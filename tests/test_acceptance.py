@@ -187,7 +187,7 @@ def test_criterion_06_cardinalities():
 
     from distdescribe.discriminator import train
 
-    prompt = first_prompt(task.pair, train(task.pair), config)
+    prompt = first_prompt(train(task.pair), config)
     assert len(prompt.group1_samples) == 5
     assert len(prompt.group0_samples) == 5
 

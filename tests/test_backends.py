@@ -489,6 +489,19 @@ def test_replay_skips_torn_final_line(tmp_path):
     assert replay.judge(JREQ) == answer
 
 
+@pytest.mark.parametrize(
+    "row", [{"kind": "judge", "response": "yes"}, {"kind": "judge", "hash": "0f3a"}]
+)
+def test_replay_rejects_unusable_row(tmp_path, row):
+    store = tmp_path / "transcript.jsonl"
+    with closing(RecordingBackend(RuleBackend(), store)) as recorder:
+        recorder.judge(JREQ)
+    with open(store, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(row) + "\n")
+    with pytest.raises(CorruptStoreError, match=r"transcript\.jsonl:2: a row needs"):
+        ReplayBackend(store)
+
+
 def test_replay_rejects_corruption_mid_file(tmp_path):
     store = tmp_path / "transcript.jsonl"
     with closing(RecordingBackend(RuleBackend(), store)) as recorder:

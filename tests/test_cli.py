@@ -129,6 +129,23 @@ def test_replay_miss_exits_3(zebra_task_files, tmp_path, capsys):
     assert "backend error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, row",
+    [
+        ("--cache", {"key": "0f3a", "value": "yes"}),
+        ("--verifier-backend", {"kind": "judge", "response": "yes"}),
+    ],
+)
+def test_unusable_store_row_exits_2(zebra_task_files, tmp_path, capsys, flag, row):
+    d0, d1 = zebra_task_files
+    store = tmp_path / "store.jsonl"
+    store.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    value = f"replay:{store}" if flag == "--verifier-backend" else str(store)
+    rc = main(["describe", "--d0", str(d0), "--d1", str(d1), flag, value])
+    assert rc == 2
+    assert f"{store}:1: a row needs" in capsys.readouterr().err
+
+
 class _AbstainingJudge(RuleBackend):
     def judge(self, req):
         return "maybe"

@@ -63,6 +63,22 @@ def test_validation_rejects_nonsense():
         EndpointConfig(retries=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("samples_per_side", 0),
+        ("samples_per_side", 6),
+        ("sets_per_percentile", 0),
+        ("completions_per_set", 0),
+        ("max_completion_tokens", 0),
+    ],
+)
+def test_validation_rejects_bad_run_settings(field, value):
+    # Each would otherwise fail only mid-run, after the discriminator is trained.
+    with pytest.raises(ConfigError, match=field):
+        RunConfig(**{field: value})
+
+
 def test_replay_selector_accepted():
     config = RunConfig(verifier_backend="replay:/tmp/t.jsonl")
     assert config.verifier_backend.startswith("replay:")
@@ -161,8 +177,12 @@ _FILE_VALUES = {
 }
 
 
+# Fields whose range excludes their type's value above.
+_FIELD_VALUES = {"route": ("chat", "chat"), "samples_per_side": ("3", 3)}
+
+
 def _file_value(f):
-    return ("chat", "chat") if f.name == "route" else _FILE_VALUES[f.type]
+    return _FIELD_VALUES.get(f.name) or _FILE_VALUES[f.type]
 
 
 def test_every_field_is_settable_from_file_and_echoed(tmp_path):

@@ -65,7 +65,7 @@ def test_train_requires_two_per_side():
 
 def test_train_separable_holdout_accuracy():
     disc = train(_separable_pair())
-    assert held_out_accuracy(disc, _separable_pair()) >= 0.95
+    assert held_out_accuracy(disc) >= 0.95
 
 
 def test_train_deterministic():
@@ -73,21 +73,21 @@ def test_train_deterministic():
     a = train(pair)
     b = train(pair)
     assert a.scores == b.scores
-    assert a.bias == b.bias
+    assert a.ranked == b.ranked
 
 
 def test_train_identical_sides_near_chance():
     texts = [f"the same sentence number {i}" for i in range(60)]
     pair = make_pair(texts, texts)
     disc = train(pair)
-    assert 0.35 <= held_out_accuracy(disc, pair) <= 0.65
+    assert 0.35 <= held_out_accuracy(disc) <= 0.65
 
 
 def test_label_swap_symmetry():
     pair = _separable_pair()
     swapped = make_pair([s.text for s in pair.d1.samples], [s.text for s in pair.d0.samples])
-    acc = held_out_accuracy(train(pair), pair)
-    acc_swapped = held_out_accuracy(train(swapped), swapped)
+    acc = held_out_accuracy(train(pair))
+    acc_swapped = held_out_accuracy(train(swapped))
     assert abs(acc - acc_swapped) <= 0.02
 
 
@@ -101,9 +101,9 @@ def test_confidence_complement_identity():
         assert abs((c0 + c1) - 1.0) <= 1e-12
 
 
-def test_confidence_zero_weights_is_half():
-    disc = Discriminator(weights={}, bias=0.0)
+def test_confidence_zero_score_is_half():
     sample = Sample(id="x:0", text="anything at all")
+    disc = Discriminator(scores=({sample.id: 0.0}, {}), ranked=((sample,), ()))
     assert confidence(disc, sample, 0) == 0.5
     assert confidence(disc, sample, 1) == 0.5
 
@@ -111,7 +111,13 @@ def test_confidence_zero_weights_is_half():
 def test_confidence_high_for_marker_token():
     pair = _separable_pair()
     disc = train(pair)
-    assert confidence(disc, Sample(id="q:0", text="zebra zebra"), 1) > 0.9
+    assert confidence(disc, pair.d1.samples[3], 1) > 0.9
+
+
+def test_confidence_outside_fitted_pair_raises():
+    disc = train(_separable_pair())
+    with pytest.raises(KeyError, match="not in the fitted pair"):
+        confidence(disc, Sample(id="q:0", text="zebra zebra"), 1)
 
 
 def test_confidence_rejects_bad_side():
@@ -123,7 +129,7 @@ def test_confidence_rejects_bad_side():
 def test_select_percentile_counts():
     pair = _separable_pair(200)
     disc = train(pair)
-    rep = select_percentile(disc, pair, 5)
+    rep = select_percentile(disc, 5)
     assert len(rep.d1_samples) == 10
     assert len(rep.d0_samples) == 10
     assert rep.percentile == 5
@@ -132,7 +138,7 @@ def test_select_percentile_counts():
 def test_select_percentile_full():
     pair = _separable_pair(40)
     disc = train(pair)
-    rep = select_percentile(disc, pair, 100)
+    rep = select_percentile(disc, 100)
     assert len(rep.d1_samples) == 40
     confs = [confidence(disc, s, 1) for s in rep.d1_samples]
     assert confs == sorted(confs, reverse=True)
@@ -144,7 +150,7 @@ def test_select_percentile_small_side_keeps_everything():
         ["beta one", "beta two", "beta three"],
     )
     disc = train(pair)
-    rep = select_percentile(disc, pair, 5)
+    rep = select_percentile(disc, 5)
     assert len(rep.d1_samples) == 3
     assert len(rep.d0_samples) == 3
 
@@ -152,14 +158,14 @@ def test_select_percentile_small_side_keeps_everything():
 def test_select_percentile_floor_of_five():
     pair = _separable_pair(20)
     disc = train(pair)
-    rep = select_percentile(disc, pair, 5)  # ceil(0.05*20)=1, floor lifts to 5
+    rep = select_percentile(disc, 5)  # ceil(0.05*20)=1, floor lifts to 5
     assert len(rep.d1_samples) == 5
 
 
 def test_select_percentile_nesting():
     pair = _separable_pair(80)
     disc = train(pair)
-    by_p = {p: select_percentile(disc, pair, p) for p in (5, 20, 100)}
+    by_p = {p: select_percentile(disc, p) for p in (5, 20, 100)}
     for side in ("d1_samples", "d0_samples"):
         ids5 = {s.id for s in getattr(by_p[5], side)}
         ids20 = {s.id for s in getattr(by_p[20], side)}
@@ -167,13 +173,32 @@ def test_select_percentile_nesting():
         assert ids5 <= ids20 <= ids100
 
 
+def test_ranked_sorted_by_confidence_then_id():
+    task = generate_task("hyperlink", 0.7, 0.3, 120, seed=11)
+    disc = train(task.pair)
+    for side, corpus in enumerate((task.pair.d0, task.pair.d1)):
+        ranked = disc.ranked[side]
+        assert sorted(s.id for s in ranked) == sorted(s.id for s in corpus.samples)
+        keys = [(-confidence(disc, s, side), s.id) for s in ranked]
+        assert keys == sorted(keys)
+
+
+def test_select_percentile_is_prefix_of_ranking():
+    task = generate_task("hyperlink", 0.7, 0.3, 120, seed=11)
+    disc = train(task.pair)
+    for p in (5, 20, 100):
+        rep = select_percentile(disc, p)
+        for side, kept in ((0, rep.d0_samples), (1, rep.d1_samples)):
+            assert kept == disc.ranked[side][: len(kept)]
+
+
 def test_select_percentile_validates_range():
     pair = _separable_pair(10)
     disc = train(pair)
     with pytest.raises(ValueError):
-        select_percentile(disc, pair, 0)
+        select_percentile(disc, 0)
     with pytest.raises(ValueError):
-        select_percentile(disc, pair, 101)
+        select_percentile(disc, 101)
 
 
 def _discriminator_fingerprint() -> dict:
@@ -187,14 +212,14 @@ def _discriminator_fingerprint() -> dict:
     ]
     selected = {}
     for p in (5, 20, 100):
-        rep = select_percentile(disc, task.pair, p)
+        rep = select_percentile(disc, p)
         selected[str(p)] = {
             "d1": [s.id for s in rep.d1_samples],
             "d0": [s.id for s in rep.d0_samples],
         }
     return {
         "scores_sha256": hashlib.sha256("\n".join(scores).encode("utf-8")).hexdigest(),
-        "held_out_accuracy": repr(held_out_accuracy(disc, task.pair)),
+        "held_out_accuracy": repr(held_out_accuracy(disc)),
         "selected": selected,
     }
 

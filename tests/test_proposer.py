@@ -159,7 +159,7 @@ def test_propose_counts_and_dedup():
     pair = _noisy_question_pair()
     config = RunConfig()
     disc = train(pair)
-    candidates = propose(pair, disc, RuleBackend(), config)
+    candidates = propose(disc, RuleBackend(), config)
     expected_raw = (
         len(config.percentiles) * config.sets_per_percentile * config.completions_per_set
     )
@@ -173,15 +173,15 @@ def test_propose_deterministic():
     pair = _noisy_question_pair()
     config = RunConfig(seed=11)
     disc = train(pair)
-    first = propose(pair, disc, RuleBackend(), config)
-    second = propose(pair, disc, RuleBackend(), config)
+    first = propose(disc, RuleBackend(), config)
+    second = propose(disc, RuleBackend(), config)
     assert [h.s for h in first.hypotheses] == [h.s for h in second.hypotheses]
 
 
 def test_propose_finds_question_signal():
     pair = _noisy_question_pair()
     disc = train(pair)
-    candidates = propose(pair, disc, RuleBackend(), RunConfig())
+    candidates = propose(disc, RuleBackend(), RunConfig())
     assert "contains a question mark" in [h.s for h in candidates.hypotheses]
 
 
@@ -189,7 +189,7 @@ def test_propose_provenance_recorded():
     pair = _noisy_question_pair()
     config = RunConfig()
     disc = train(pair)
-    candidates = propose(pair, disc, RuleBackend(), config)
+    candidates = propose(disc, RuleBackend(), config)
     for hyp in candidates.hypotheses:
         assert hyp.provenance is not None
         percentile, set_index, completion_index = hyp.provenance
@@ -207,7 +207,7 @@ def test_propose_all_empty_raises():
     pair = _noisy_question_pair()
     disc = train(pair)
     with pytest.raises(AllCompletionsEmptyError):
-        propose(pair, disc, _EmptyBackend(), RunConfig())
+        propose(disc, _EmptyBackend(), RunConfig())
 
 
 def test_first_prompt_is_prefix_of_run():
@@ -215,10 +215,10 @@ def test_first_prompt_is_prefix_of_run():
     pair = _noisy_question_pair()
     config = RunConfig(seed=4)
     disc = train(pair)
-    preview = first_prompt(pair, disc, config)
+    preview = first_prompt(disc, config)
     assert preview.rendered.endswith(INSTRUCTION)
     assert len(preview.group1_samples) == config.samples_per_side
-    again = first_prompt(pair, disc, config)
+    again = first_prompt(disc, config)
     assert preview.rendered == again.rendered
 
 
@@ -226,6 +226,6 @@ def test_first_prompt_respects_percentile_argument():
     pair = _noisy_question_pair()
     config = RunConfig(seed=4)
     disc = train(pair)
-    default = first_prompt(pair, disc, config)
-    full = first_prompt(pair, disc, config, percentile=100)
+    default = first_prompt(disc, config)
+    full = first_prompt(disc, config, percentile=100)
     assert default.rendered != "" and full.rendered != ""

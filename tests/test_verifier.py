@@ -52,6 +52,23 @@ def test_build_question_templates():
     assert q.context == "A: alpha?\nB: beta"
 
 
+def test_multi_line_samples_judged_on_one_line_each():
+    a = _sample("plain line\nB: has a question?", "x:0")
+    b = _sample("no question here", "y:0")
+    q = build_question(QUESTION, a, b)
+    assert q.context == "A: plain line B: has a question?\nB: no question here"
+    assert Verifier(RuleBackend()).judge(QUESTION, a, b) == 1.0
+    assert Verifier(RuleBackend()).judge(QUESTION, b, a) == 0.0
+
+
+def test_multi_line_judgment_keeps_raw_text_cache_key(tmp_path):
+    path = tmp_path / "c.jsonl"
+    a, b = _sample("first\nsecond?", "x:0"), _sample("third", "y:0")
+    _judge_into(path, a, b)
+    row = json.loads(path.read_text(encoding="utf-8"))
+    assert row["key"] == JudgmentCache.key(RuleBackend.id, QUESTION, a.text, b.text)
+
+
 def test_judge_values():
     verifier = Verifier(RuleBackend())
     assert verifier.judge(QUESTION, _sample("yes?"), _sample("no")) == 1.0
@@ -305,6 +322,26 @@ def test_judgment_cache_rejects_corruption_mid_file(tmp_path):
     _judge_into(path, a, b)
     path.write_text("{not json\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
     with pytest.raises(CorruptStoreError, match=r"c\.jsonl:1"):
+        JudgmentCache(path)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"value": 1.0},
+        {"key": "k"},
+        {"key": ["k"], "value": 1.0},
+        {"key": "k", "value": "yes"},
+        {"key": "k", "value": 2},
+        {"key": "k", "value": [1]},
+    ],
+)
+def test_judgment_cache_rejects_unusable_row(tmp_path, row):
+    path = tmp_path / "c.jsonl"
+    _judge_into(path, _sample("a?", "x:0"), _sample("b", "y:0"))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(row) + "\n")
+    with pytest.raises(CorruptStoreError, match=r"c\.jsonl:2: a row needs"):
         JudgmentCache(path)
 
 
