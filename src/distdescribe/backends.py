@@ -44,6 +44,12 @@ from .predicates import PREDICATES, parse_description
 QUESTION_PREFIX = "Is it true that sentence A "
 
 
+def one_line(text: str) -> str:
+    # Prompts and judgment contexts are line-based: a newline inside a sample
+    # would read back as a group header, a new numbered sample, or "B: ".
+    return text.replace("\n", " ")
+
+
 @dataclass(frozen=True)
 class CompletionRequest:
     prompt: str
@@ -200,70 +206,58 @@ class HttpBackend(Backend):
                     time.sleep(self._backoff(attempt))
                     continue
                 raise TransportError(f"{url}: {exc}") from exc
-            if response.status_code == 200:
+            status = response.status_code
+            if status == 200:
                 try:
                     return response.json()
                 except ValueError:
                     raise ProviderError(200, _excerpt(response.text)) from None
-            if response.status_code in (401, 403):
-                raise AuthError(f"{url}: HTTP {response.status_code}")
-            if response.status_code == 429 or response.status_code >= 500:
-                if attempt < attempts:
-                    time.sleep(self._backoff(attempt))
-                    continue
-                if response.status_code == 429:
-                    raise RateLimitedError(attempts, _excerpt(response.text))
-                raise ProviderError(response.status_code, _excerpt(response.text))
-            raise ProviderError(response.status_code, _excerpt(response.text))
-        raise TransportError(f"{url}: retry loop exited unexpectedly")
+            if status in (401, 403):
+                raise AuthError(f"{url}: HTTP {status}")
+            if (status == 429 or status >= 500) and attempt < attempts:
+                time.sleep(self._backoff(attempt))
+                continue
+            if status == 429:
+                raise RateLimitedError(attempts, _excerpt(response.text))
+            raise ProviderError(status, _excerpt(response.text))
 
     def _backoff(self, attempt: int) -> float:
         return self.endpoint.backoff_s * (2 ** (attempt - 1))
 
-    def _extract_texts(self, data: dict) -> list[str]:
-        try:
-            choices = data["choices"]
-            if self.endpoint.route == "chat":
-                return [c["message"]["content"] for c in choices]
-            return [c["text"] for c in choices]
-        except (KeyError, TypeError) as exc:
-            raise ProviderError(200, f"malformed response body: {exc}") from None
-
-    def complete(self, req: CompletionRequest) -> list[str]:
+    def _choices(
+        self, prompt: str, n: int, max_tokens: int, temperature: float, stop: tuple[str, ...] = ()
+    ) -> list[str]:
+        """Post one request on the configured route; the text of every choice."""
         body = {
             "model": self.endpoint.model,
-            "n": req.n,
-            "max_tokens": req.max_tokens,
-            "temperature": req.temperature,
+            "n": n,
+            "max_tokens": max_tokens,
+            "temperature": temperature,
         }
-        if req.stop:
-            body["stop"] = list(req.stop)
+        if stop:
+            body["stop"] = list(stop)
+        chat = self.endpoint.route == "chat"
+        if chat:
+            body["messages"] = [{"role": "user", "content": prompt}]
+        else:
+            body["prompt"] = prompt
+        data = self._request("/chat/completions" if chat else "/completions", body)
+        try:
+            texts = [c["message"]["content"] if chat else c["text"] for c in data["choices"]]
+        except (KeyError, TypeError) as exc:
+            raise ProviderError(200, f"malformed response body: {exc}") from None
+        if not all(isinstance(text, str) for text in texts):
+            raise ProviderError(200, "malformed response body: a choice's text is not a string")
+        return texts
+
+    def complete(self, req: CompletionRequest) -> list[str]:
         # Forbidden tokens are not translated to a provider bias list (that
         # would require the provider's tokenizer); the proposer enforces the
         # list post-hoc on every completion.
-        if self.endpoint.route == "chat":
-            body["messages"] = [{"role": "user", "content": req.prompt}]
-            data = self._request("/chat/completions", body)
-        else:
-            body["prompt"] = req.prompt
-            data = self._request("/completions", body)
-        return self._extract_texts(data)
+        return self._choices(req.prompt, req.n, req.max_tokens, req.temperature, req.stop)
 
     def judge(self, req: JudgmentRequest) -> str:
-        prompt = f"{req.context}\n{req.question}"
-        body = {
-            "model": self.endpoint.model,
-            "n": 1,
-            "max_tokens": 4,
-            "temperature": 0.0,
-        }
-        if self.endpoint.route == "chat":
-            body["messages"] = [{"role": "user", "content": prompt}]
-            data = self._request("/chat/completions", body)
-        else:
-            body["prompt"] = prompt
-            data = self._request("/completions", body)
-        texts = self._extract_texts(data)
+        texts = self._choices(f"{req.context}\n{req.question}", 1, 4, 0.0)
         if not texts:
             raise ProviderError(200, "response carried zero choices")
         return texts[0]
@@ -319,7 +313,12 @@ def unusable_row(path: Path, usable: Callable[[dict], bool], need: str) -> Corru
 
 
 def _usable_transcript_row(row: dict) -> bool:
-    return isinstance(row.get("hash"), str) and "response" in row
+    kind, response = row.get("kind"), row.get("response")
+    if kind == "complete":
+        typed = isinstance(response, list) and all(isinstance(t, str) for t in response)
+    else:
+        typed = kind == "judge" and isinstance(response, str)
+    return typed and isinstance(row.get("hash"), str)
 
 
 class JsonlAppender:
@@ -370,10 +369,11 @@ class RecordingBackend(Backend):
         self._writer = JsonlAppender(self.path)
         self._lock = threading.Lock()
 
-    def _append(self, kind: str, req, response) -> None:
+    def _record(self, kind: str, req, response):
         row = {"kind": kind, "hash": request_hash(req), "response": response}
         with self._lock:
             self._writer.append(row)
+        return response
 
     def close(self) -> None:
         """Close the transcript; a later request opens it again."""
@@ -381,14 +381,10 @@ class RecordingBackend(Backend):
             self._writer.close()
 
     def complete(self, req: CompletionRequest) -> list[str]:
-        response = self.inner.complete(req)
-        self._append("complete", req, response)
-        return response
+        return self._record("complete", req, self.inner.complete(req))
 
     def judge(self, req: JudgmentRequest) -> str:
-        response = self.inner.judge(req)
-        self._append("judge", req, response)
-        return response
+        return self._record("judge", req, self.inner.judge(req))
 
 
 class ReplayBackend(Backend):
@@ -406,13 +402,11 @@ class ReplayBackend(Backend):
         if not self.store_path.exists():
             raise ReplayMissError(f"transcript not found: {self.store_path}")
         self._by_hash: dict[str, deque] = {}
-        try:
-            for row in read_jsonl(self.store_path):
-                self._by_hash.setdefault(row["hash"], deque()).append(row["response"])
-        except (KeyError, TypeError):
-            raise unusable_row(
-                self.store_path, _usable_transcript_row, 'a row needs a "hash" and a "response"'
-            ) from None
+        for row in read_jsonl(self.store_path):
+            if not _usable_transcript_row(row):
+                need = 'a row needs a "hash" and a "response" of its "kind" (complete or judge)'
+                raise unusable_row(self.store_path, _usable_transcript_row, need)
+            self._by_hash.setdefault(row["hash"], deque()).append(row["response"])
         self._lock = threading.Lock()
 
     def _serve(self, req) -> object:
@@ -431,7 +425,7 @@ class ReplayBackend(Backend):
         return list(self._serve(req))
 
     def judge(self, req: JudgmentRequest) -> str:
-        return str(self._serve(req))
+        return self._serve(req)
 
 
 def make_backend(

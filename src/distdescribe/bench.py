@@ -10,7 +10,6 @@ predicate evaluation.
 from __future__ import annotations
 
 import json
-from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,13 +17,13 @@ import numpy as np
 
 from .config import RunConfig
 from .corpus import Corpus, DistributionPair, Sample, load_corpus, save_corpus
-from .errors import UnsatisfiablePredicateError
-from .pipeline import Report, describe_pair
+from .errors import MalformedRecordError, UnsatisfiablePredicateError
+from .pipeline import Report, describe_pair, verify
 from .predicates import PREDICATES, get_predicate, parse_description
-from .verifier import JudgmentCache, Verifier
 from .backends import make_backend
 
 MANIFEST_NAME = "manifest.jsonl"
+_MANIFEST_FIELDS = ("task", "gold", "q1", "q0", "seed")
 
 # Pools deliberately mix word counts so sentence lengths overlap between
 # any two constructed sides; otherwise a satisfier that appends words
@@ -228,6 +227,24 @@ def save_suite(tasks: list[SyntheticTask], directory: str | Path) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def _manifest_row(line: str, line_number: int, manifest: Path) -> dict:
+    try:
+        row = json.loads(line)
+    except ValueError:
+        row = None
+    if not isinstance(row, dict):
+        reason = "not a JSON object"
+    elif missing := [f for f in _MANIFEST_FIELDS if f not in row]:
+        reason = "missing " + ", ".join(f'"{f}"' for f in missing)
+    elif type(row["task"]) is not int:
+        reason = '"task" is not an integer'
+    elif row["gold"] not in [p.id for p in PREDICATES]:
+        reason = f'"gold" {row["gold"]!r} is not a registered predicate'
+    else:
+        return row
+    raise MalformedRecordError(line_number, f"{reason} in {manifest}")
+
+
 def load_suite(directory: str | Path) -> list[SyntheticTask]:
     directory = Path(directory)
     manifest = directory / MANIFEST_NAME
@@ -235,14 +252,13 @@ def load_suite(directory: str | Path) -> list[SyntheticTask]:
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
     tasks = []
     with open(manifest, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for line_number, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
-            row = json.loads(line)
-            task_dir = directory / f"task-{row['task']:02d}"
-            d0 = load_corpus(task_dir / "d0.jsonl", name=f"task-{row['task']:02d}-d0")
-            d1 = load_corpus(task_dir / "d1.jsonl", name=f"task-{row['task']:02d}-d1")
+            row = _manifest_row(line, line_number, manifest)
+            name = f"task-{row['task']:02d}"
+            d0 = load_corpus(directory / name / "d0.jsonl", name=f"{name}-d0")
+            d1 = load_corpus(directory / name / "d1.jsonl", name=f"{name}-d1")
             tasks.append(
                 SyntheticTask(
                     gold=row["gold"],
@@ -285,13 +301,8 @@ def run_bench(tasks: list[SyntheticTask], config: RunConfig) -> BenchReport:
         if gold_row is not None:
             gold_ca = gold_row.ca.mean
         else:
-            with closing(JudgmentCache(config.cache_path)) as cache:
-                gold_ca = Verifier(verifier_backend, cache).estimate_ca(
-                    gold_description,
-                    task.pair,
-                    n_pairs=config.n_pairs,
-                    seed=config.effective_pair_seed,
-                ).mean
+            (estimate,), _ = verify([gold_description], task.pair, config, verifier_backend)
+            gold_ca = estimate.mean
         top1_ca = report.ranked[0].ca.mean if report.ranked else 0.5
         results.append(
             TaskResult(

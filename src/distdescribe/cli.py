@@ -10,11 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import closing
 from dataclasses import fields
 from pathlib import Path
 
-from .backends import make_backend
 from .bench import default_suite, generate_task, load_suite, run_bench, save_suite
 from .config import EndpointConfig, RunConfig, build_config, parse_config_file
 from .corpus import DistributionPair, load_clustered, load_corpus
@@ -33,9 +31,9 @@ from .pipeline import (
     report_table,
     shift_report,
     shortcut_scan,
+    verify,
 )
 from .proposer import first_prompt
-from .verifier import JudgmentCache, Verifier
 
 
 def _int_list(value: str) -> tuple[int, ...]:
@@ -184,15 +182,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    pair = _load_pair(args)
-    backend = make_backend(config.verifier_backend, config.verifier_endpoint)
-    with closing(JudgmentCache(config.cache_path)) as cache:
-        est = Verifier(backend, cache).estimate_ca(
-            args.hypothesis,
-            pair,
-            n_pairs=config.n_pairs,
-            seed=config.effective_pair_seed,
-        )
+    (est,), _ = verify([args.hypothesis], _load_pair(args), config)
     _write_out(config, est.to_dict())
     mode = "exhaustive" if est.exhaustive else f"sampled seed={est.seed}"
     sys.stdout.write(

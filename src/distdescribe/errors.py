@@ -8,7 +8,7 @@ class DistDescribeError(Exception):
 
 
 class MalformedRecordError(DistDescribeError):
-    """A corpus file line could not be turned into a usable sample."""
+    """A line of a corpus file or of a bench suite's manifest cannot be used."""
 
     def __init__(self, line_number: int, reason: str):
         super().__init__(f"line {line_number}: {reason}")
@@ -57,7 +57,11 @@ class PipelineAbortedError(DistDescribeError):
 
 
 class CorruptStoreError(DistDescribeError):
-    """A judgment cache or transcript has a damaged line before its last."""
+    """A judgment cache or transcript holds a damaged line or an unusable row.
+
+    A damaged line is one before the last that does not parse.  An unusable
+    row lacks a field it needs, or stores a value or response of the wrong type.
+    """
 
 
 class ConfigError(DistDescribeError):

@@ -11,7 +11,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .backends import Backend, make_backend
 from .config import RunConfig
@@ -120,6 +120,31 @@ class ShortcutReport:
         }
 
 
+def verify(
+    descriptions: Sequence[str],
+    pair: DistributionPair,
+    config: RunConfig,
+    backend: Backend | None = None,
+) -> tuple[list[CAEstimate], Verifier]:
+    """Each description's CA on the run's seeded pairs, in order, and the verifier.
+
+    The one place a run verifies: through the config's verifier backend unless
+    one is passed, the run's judgment cache, and ``in_flight`` workers.
+    """
+    if backend is None:
+        backend = make_backend(config.verifier_backend, config.verifier_endpoint)
+    pair_seed = config.effective_pair_seed
+    with closing(JudgmentCache(config.cache_path)) as cache:
+        verifier = Verifier(backend, cache)
+
+        def score(s: str) -> CAEstimate:
+            return verifier.estimate_ca(s, pair, n_pairs=config.n_pairs, seed=pair_seed)
+
+        with ThreadPoolExecutor(max_workers=config.in_flight) as pool:
+            estimates = list(pool.map(score, descriptions))
+    return estimates, verifier
+
+
 def describe_pair(
     pair: DistributionPair,
     config: RunConfig,
@@ -135,26 +160,16 @@ def describe_pair(
     """
     if proposer_backend is None:
         proposer_backend = make_backend(config.proposer_backend, config.proposer_endpoint)
-    if verifier_backend is None:
-        verifier_backend = make_backend(config.verifier_backend, config.verifier_endpoint)
 
     disc = train(pair)
     candidates: CandidateSet = propose(disc, proposer_backend, config)
-
-    pair_seed = config.effective_pair_seed
-    with closing(JudgmentCache(config.cache_path)) as cache:
-        verifier = Verifier(verifier_backend, cache)
-
-        def score(h: Hypothesis) -> tuple[Hypothesis, CAEstimate]:
-            return h, verifier.estimate_ca(h, pair, n_pairs=config.n_pairs, seed=pair_seed)
-
-        with ThreadPoolExecutor(max_workers=config.in_flight) as pool:
-            scored = list(pool.map(score, candidates.hypotheses))
+    hypotheses = candidates.hypotheses
+    estimates, verifier = verify([h.s for h in hypotheses], pair, config, verifier_backend)
 
     if verifier.abstain_fraction > 0.5:
         raise PipelineAbortedError(verifier.abstain_count, verifier.judgment_count)
 
-    scored.sort(key=lambda item: (-item[1].mean, item[0].s))
+    scored = sorted(zip(hypotheses, estimates), key=lambda item: (-item[1].mean, item[0].s))
     ranked = tuple(
         RankedHypothesis(
             hypothesis=h,

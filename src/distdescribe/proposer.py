@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .backends import Backend, CompletionRequest
+from .backends import Backend, CompletionRequest, one_line
 from .config import RunConfig
 from .corpus import Sample
 from .discriminator import Discriminator, select_percentile
@@ -89,18 +89,12 @@ def _cap_sample(text: str) -> str:
     return _truncate_words(text, max_words)
 
 
-def _one_line(text: str) -> str:
-    # The layout is line-based: a newline inside a sample would read back as
-    # a group header, a new numbered sample, or the end of the group.
-    return text.replace("\n", " ")
-
-
 def _render(texts0: list[str], texts1: list[str]) -> str:
     lines = ["Group 0:"]
-    lines += [f"{i}. {_one_line(t)}" for i, t in enumerate(texts0, start=1)]
+    lines += [f"{i}. {one_line(t)}" for i, t in enumerate(texts0, start=1)]
     lines.append("")
     lines.append("Group 1:")
-    lines += [f"{i}. {_one_line(t)}" for i, t in enumerate(texts1, start=1)]
+    lines += [f"{i}. {one_line(t)}" for i, t in enumerate(texts1, start=1)]
     lines.append("")
     lines.append(INSTRUCTION)
     return "\n".join(lines)

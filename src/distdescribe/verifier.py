@@ -16,7 +16,7 @@ import hashlib
 import math
 import string
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -27,12 +27,12 @@ from .backends import (
     Backend,
     JsonlAppender,
     JudgmentRequest,
+    one_line,
     read_jsonl,
     unusable_row,
 )
 from .corpus import DistributionPair, Sample
 from .errors import AuthError, BackendError, ReplayMissError
-from .proposer import Hypothesis, _one_line
 
 ABSTAIN = 0.5
 _VALUES = (0.0, ABSTAIN, 1.0)
@@ -42,15 +42,10 @@ _VALUES = (0.0, ABSTAIN, 1.0)
 Judgment = tuple[str, str, str, str]
 
 
-def _s_text(s: Hypothesis | str) -> str:
-    return s.s if isinstance(s, Hypothesis) else s
-
-
-def build_question(s: Hypothesis | str, a: Sample, b: Sample) -> JudgmentRequest:
-    # One line per sample, so a newline inside A cannot read back as "B: ".
+def build_question(s: str, a: Sample, b: Sample) -> JudgmentRequest:
     return JudgmentRequest(
-        question=f"{QUESTION_PREFIX}{_s_text(s)}?",
-        context=f"A: {_one_line(a.text)}\nB: {_one_line(b.text)}",
+        question=f"{QUESTION_PREFIX}{s}?",
+        context=f"A: {one_line(a.text)}\nB: {one_line(b.text)}",
     )
 
 
@@ -63,13 +58,7 @@ class CAEstimate:
     exhaustive: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "n_pairs": self.n_pairs,
-            "seed": self.seed,
-            "exhaustive": self.exhaustive,
-        }
+        return asdict(self)
 
 
 def _answer_value(answer: str) -> float:
@@ -199,17 +188,16 @@ class Verifier:
                 return 0.0
             return self.abstain_count / self.judgment_count
 
-    def judge(self, s: Hypothesis | str, a: Sample, b: Sample) -> float:
-        """One directed judgment in {0, 0.5, 1}; 0.5 is abstention."""
-        s_text = _s_text(s)
-        judgment = (self.backend.id, s_text, a.text, b.text)
+    def judge(self, s: str, a: Sample, b: Sample) -> float:
+        """One directed judgment of description ``s`` in {0, 0.5, 1}; 0.5 is abstention."""
+        judgment = (self.backend.id, s, a.text, b.text)
         cached, key = self.cache.get(judgment)
         if cached is not None:
             self._count(cached, failed=False)
             return cached
 
         try:
-            answer = self.backend.judge(build_question(s_text, a, b))
+            answer = self.backend.judge(build_question(s, a, b))
         except (AuthError, ReplayMissError):
             raise  # configuration mistakes; retrying other pairs cannot help
         except BackendError:
@@ -222,14 +210,14 @@ class Verifier:
         self._count(value, failed=False)
         return value
 
-    def h_hat(self, s: Hypothesis | str, x1: Sample, x0: Sample) -> float:
+    def h_hat(self, s: str, x1: Sample, x0: Sample) -> float:
         forward = self.judge(s, x1, x0)
         backward = self.judge(s, x0, x1)
         return (forward - backward + 1.0) / 2.0
 
     def estimate_ca(
         self,
-        s: Hypothesis | str,
+        s: str,
         pair: DistributionPair,
         n_pairs: int = 400,
         seed: int = 0,

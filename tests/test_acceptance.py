@@ -7,10 +7,7 @@ captured output of a failing run) and enforces its own runtime budget.
 from __future__ import annotations
 
 import functools
-import json
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -235,105 +232,56 @@ def test_criterion_08_prompt_fidelity():
         assert stuffed.rendered.endswith(INSTRUCTION)
 
 
-class _ScriptedEndpoint:
-    """Minimal OpenAI-style endpoint whose judgments actually inspect sentence A."""
-
-    def __init__(self, mode="serve"):
-        self.mode = mode
-        self.hits = 0
-        self.lock = threading.Lock()
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                with outer.lock:
-                    outer.hits += 1
-                length = int(self.headers.get("Content-Length", 0))
-                body = json.loads(self.rfile.read(length) or b"{}")
-                if outer.mode == "always-429":
-                    self._reply(429, {"error": "rate limited"})
-                    return
-                self._reply(200, outer.respond(body))
-
-            def _reply(self, status, payload):
-                data = json.dumps(payload).encode()
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-
-            def log_message(self, *args):
-                pass
-
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        # A short poll keeps shutdown() from waiting out the default 0.5 s.
-        threading.Thread(
-            target=self.server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        ).start()
-        self.base_url = f"http://127.0.0.1:{self.server.server_address[1]}/v1"
-
-    def respond(self, body):
-        prompt = body.get("prompt", "")
-        if prompt.startswith("A: "):
-            a_text = prompt[3:].split("\nB: ", 1)[0]
-            if "zebra" in body.get("prompt", "").rsplit("\n", 1)[-1]:
-                answer = "yes" if "zebra" in a_text else "no"
-            else:
-                answer = "no"
-            return {"choices": [{"text": answer}]}
-        texts = [" contains the word 'zebra'", " is longer in sentence length"]
-        return {"choices": [{"text": texts[i % 2]} for i in range(body.get("n", 1))]}
-
-    def close(self):
-        self.server.shutdown()
-        self.server.server_close()
+def _zebra_endpoint(path, body):
+    """OpenAI-style answers whose judgments actually inspect sentence A."""
+    prompt = body.get("prompt", "")
+    if prompt.startswith("A: "):
+        a_text = prompt[3:].split("\nB: ", 1)[0]
+        if "zebra" in prompt.rsplit("\n", 1)[-1]:
+            answer = "yes" if "zebra" in a_text else "no"
+        else:
+            answer = "no"
+        return 200, {"choices": [{"text": answer}]}
+    texts = [" contains the word 'zebra'", " is longer in sentence length"]
+    return 200, {"choices": [{"text": texts[i % 2]} for i in range(body.get("n", 1))]}
 
 
 @_verdict(9, "transcripts replay with zero network calls; 429s surface after exact retries")
-def test_criterion_09_http_robustness(tmp_path):
-    endpoint_live = _ScriptedEndpoint()
-    try:
-        task = generate_task("zebra", 1.0, 0.0, 20, seed=6)
-        config = RunConfig()
-        endpoint_cfg = EndpointConfig(
-            base_url=endpoint_live.base_url, retries=3, backoff_s=0.01
-        )
-        p_store = tmp_path / "proposer-transcript.jsonl"
-        v_store = tmp_path / "verifier-transcript.jsonl"
-        proposer = RecordingBackend(HttpBackend(endpoint_cfg), p_store)
-        verifier = RecordingBackend(HttpBackend(endpoint_cfg), v_store)
-        recorded = describe_pair(
-            task.pair, config, proposer_backend=proposer, verifier_backend=verifier
-        )
-        proposer.close()
-        verifier.close()
-        hits_after_recording = endpoint_live.hits
-        assert hits_after_recording > 0
+def test_criterion_09_http_robustness(tmp_path, http_server):
+    url, live = http_server(_zebra_endpoint, keep_alive_s=2.0)
+    task = generate_task("zebra", 1.0, 0.0, 20, seed=6)
+    config = RunConfig()
+    endpoint_cfg = EndpointConfig(base_url=url, retries=3, backoff_s=0.01)
+    p_store = tmp_path / "proposer-transcript.jsonl"
+    v_store = tmp_path / "verifier-transcript.jsonl"
+    proposer = RecordingBackend(HttpBackend(endpoint_cfg), p_store)
+    verifier = RecordingBackend(HttpBackend(endpoint_cfg), v_store)
+    recorded = describe_pair(
+        task.pair, config, proposer_backend=proposer, verifier_backend=verifier
+    )
+    proposer.close()
+    verifier.close()
+    hits_after_recording = live.hits
+    assert hits_after_recording > 0
 
-        replayed = describe_pair(
-            task.pair,
-            config,
-            proposer_backend=ReplayBackend(p_store),
-            verifier_backend=ReplayBackend(v_store),
-        )
-        assert report_json(replayed) == report_json(recorded)
-        assert endpoint_live.hits == hits_after_recording  # zero network calls
-        assert recorded.ranked[0].hypothesis.s == "contains the word 'zebra'"
-    finally:
-        endpoint_live.close()
+    replayed = describe_pair(
+        task.pair,
+        config,
+        proposer_backend=ReplayBackend(p_store),
+        verifier_backend=ReplayBackend(v_store),
+    )
+    assert report_json(replayed) == report_json(recorded)
+    assert live.hits == hits_after_recording  # zero network calls
+    assert recorded.ranked[0].hypothesis.s == "contains the word 'zebra'"
 
-    endpoint_busy = _ScriptedEndpoint(mode="always-429")
-    try:
-        backend = HttpBackend(
-            EndpointConfig(base_url=endpoint_busy.base_url, retries=3, backoff_s=0.001)
-        )
-        with pytest.raises(RateLimitedError) as excinfo:
-            backend.complete(CompletionRequest(prompt="anything"))
-        assert excinfo.value.attempts == 3
-        assert endpoint_busy.hits == 3
-    finally:
-        endpoint_busy.close()
+    busy_url, busy = http_server(
+        lambda path, body: (429, {"error": "rate limited"}), keep_alive_s=2.0
+    )
+    backend = HttpBackend(EndpointConfig(base_url=busy_url, retries=3, backoff_s=0.001))
+    with pytest.raises(RateLimitedError) as excinfo:
+        backend.complete(CompletionRequest(prompt="anything"))
+    assert excinfo.value.attempts == 3
+    assert busy.hits == 3
 
 
 @_verdict(10, "negation shortcut found rank-1 with exhaustive CA 0.80 on a 0.7/0.1 scan")

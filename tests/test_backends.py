@@ -8,7 +8,6 @@ import sys
 import threading
 import time
 from contextlib import closing
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -24,6 +23,7 @@ from distdescribe.backends import (
     request_hash,
 )
 from distdescribe.config import EndpointConfig
+from distdescribe.corpus import Sample
 from distdescribe.errors import (
     AuthError,
     CorruptStoreError,
@@ -33,6 +33,7 @@ from distdescribe.errors import (
     TransportError,
     UnparseablePromptError,
 )
+from distdescribe.verifier import ABSTAIN, Verifier
 
 QUESTION_PROMPT = (
     "Group 0:\n"
@@ -126,72 +127,6 @@ def test_request_hash_distinguishes_kinds():
 # ------------------------------------------------------------- http test rig
 
 
-class _Script:
-    """Behavior plus request and connection counters shared with the server."""
-
-    def __init__(self, behavior):
-        self.behavior = behavior
-        self.hits = 0
-        self.connections = 0
-        self.bodies = []
-        self.auth_headers = []
-        self.lock = threading.Lock()
-
-
-@pytest.fixture
-def http_server():
-    servers = []
-
-    def start(behavior, keep_alive_s=None):
-        # With keep_alive_s: HTTP/1.1, and a connection idle that long is closed.
-        script = _Script(behavior)
-
-        class Handler(BaseHTTPRequestHandler):
-            if keep_alive_s is not None:
-                protocol_version = "HTTP/1.1"
-                timeout = keep_alive_s
-            # Headers and body go out in two writes; on a kept-alive connection
-            # Nagle would hold the body until the client's delayed ACK.
-            disable_nagle_algorithm = True
-
-            def setup(self):
-                super().setup()
-                with script.lock:
-                    script.connections += 1
-
-            def do_POST(self):
-                length = int(self.headers.get("Content-Length", 0))
-                body = json.loads(self.rfile.read(length) or b"{}")
-                with script.lock:
-                    script.hits += 1
-                    script.bodies.append(body)
-                    script.auth_headers.append(self.headers.get("Authorization"))
-                status, payload = script.behavior(self.path, body)
-                data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-
-            def log_message(self, *args):
-                pass
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        # A short poll keeps shutdown() from waiting out the default 0.5 s.
-        threading.Thread(
-            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        ).start()
-        servers.append(server)
-        url = f"http://127.0.0.1:{server.server_address[1]}/v1"
-        return url, script
-
-    yield start
-    for server in servers:
-        server.shutdown()
-        server.server_close()
-
-
 def _endpoint(url, **kwargs):
     defaults = dict(base_url=url, retries=3, backoff_s=0.001, timeout_s=5.0)
     defaults.update(kwargs)
@@ -243,6 +178,107 @@ def test_http_judge_prompt_layout(http_server):
     assert body["prompt"] == "A: alpha\nB: beta\nIs it true that sentence A contains a question mark?"
     assert body["temperature"] == 0.0
     assert body["n"] == 1
+
+
+_JREQ_BODY = JudgmentRequest(question="Is it true that sentence A x?", context="A: a\nB: b")
+
+
+@pytest.mark.parametrize(
+    "route, kind, path, expected",
+    [
+        (
+            "completions",
+            "complete",
+            "/v1/completions",
+            {
+                "model": "m",
+                "n": 2,
+                "max_tokens": 32,
+                "temperature": 0.7,
+                "stop": [",", ".", "\n"],
+                "prompt": QUESTION_PROMPT,
+            },
+        ),
+        (
+            "chat",
+            "complete",
+            "/v1/chat/completions",
+            {
+                "model": "m",
+                "n": 2,
+                "max_tokens": 32,
+                "temperature": 0.7,
+                "stop": [",", ".", "\n"],
+                "messages": [{"role": "user", "content": QUESTION_PROMPT}],
+            },
+        ),
+        (
+            "completions",
+            "judge",
+            "/v1/completions",
+            {
+                "model": "m",
+                "n": 1,
+                "max_tokens": 4,
+                "temperature": 0.0,
+                "prompt": "A: a\nB: b\nIs it true that sentence A x?",
+            },
+        ),
+        (
+            "chat",
+            "judge",
+            "/v1/chat/completions",
+            {
+                "model": "m",
+                "n": 1,
+                "max_tokens": 4,
+                "temperature": 0.0,
+                "messages": [
+                    {"role": "user", "content": "A: a\nB: b\nIs it true that sentence A x?"}
+                ],
+            },
+        ),
+    ],
+)
+def test_http_request_body(http_server, route, kind, path, expected):
+    paths = []
+
+    def behavior(p, body):
+        paths.append(p)
+        n = body["n"]
+        if route == "chat":
+            return 200, {"choices": [{"message": {"content": "yes"}} for _ in range(n)]}
+        return 200, {"choices": [{"text": "yes"} for _ in range(n)]}
+
+    url, script = http_server(behavior)
+    backend = HttpBackend(_endpoint(url, route=route, model="m"))
+    if kind == "complete":
+        backend.complete(
+            CompletionRequest(
+                prompt=QUESTION_PROMPT, n=2, max_tokens=32, temperature=0.7, stop=(",", ".", "\n")
+            )
+        )
+    else:
+        backend.judge(_JREQ_BODY)
+    (body,) = script.bodies
+    assert list(body.items()) == list(expected.items())  # keys in order, too
+    assert paths == [path]
+
+
+@pytest.mark.parametrize(
+    "route, choice",
+    [("completions", {"text": None}), ("chat", {"message": {"content": None}})],
+)
+def test_http_non_string_choice_text_is_a_provider_error(http_server, route, choice):
+    url, _ = http_server(lambda path, body: (200, {"choices": [choice]}))
+    backend = HttpBackend(_endpoint(url, route=route))
+    with pytest.raises(ProviderError, match="malformed response body") as excinfo:
+        backend.complete(CompletionRequest(prompt="p"))
+    assert excinfo.value.status == 200
+    # The verifier scores the failed judgment as a counted abstention.
+    verifier = Verifier(backend)
+    assert verifier.judge("x", Sample("a:0", "a"), Sample("b:0", "b")) == ABSTAIN
+    assert verifier.failed_count == 1
 
 
 def test_http_rate_limited_after_exact_retries(http_server):
@@ -490,7 +526,15 @@ def test_replay_skips_torn_final_line(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "row", [{"kind": "judge", "response": "yes"}, {"kind": "judge", "hash": "0f3a"}]
+    "row",
+    [
+        {"kind": "judge", "response": "yes"},
+        {"kind": "judge", "hash": "0f3a"},
+        {"kind": "complete", "hash": "0f3a", "response": "is longer"},  # not one per character
+        {"kind": "complete", "hash": "0f3a", "response": ["is longer", None]},
+        {"kind": "judge", "hash": "0f3a", "response": ["yes"]},  # not served as its str()
+        {"hash": "0f3a", "response": "yes"},  # no kind to check the response against
+    ],
 )
 def test_replay_rejects_unusable_row(tmp_path, row):
     store = tmp_path / "transcript.jsonl"

@@ -134,13 +134,15 @@ def test_replay_miss_exits_3(zebra_task_files, tmp_path, capsys):
     [
         ("--cache", {"key": "0f3a", "value": "yes"}),
         ("--verifier-backend", {"kind": "judge", "response": "yes"}),
+        ("--verifier-backend", {"kind": "judge", "hash": "0f3a", "response": ["yes"]}),
+        ("--proposer-backend", {"kind": "complete", "hash": "0f3a", "response": "is longer"}),
     ],
 )
 def test_unusable_store_row_exits_2(zebra_task_files, tmp_path, capsys, flag, row):
     d0, d1 = zebra_task_files
     store = tmp_path / "store.jsonl"
     store.write_text(json.dumps(row) + "\n", encoding="utf-8")
-    value = f"replay:{store}" if flag == "--verifier-backend" else str(store)
+    value = f"replay:{store}" if flag.endswith("-backend") else str(store)
     rc = main(["describe", "--d0", str(d0), "--d1", str(d1), flag, value])
     assert rc == 2
     assert f"{store}:1: a row needs" in capsys.readouterr().err
@@ -269,6 +271,29 @@ def test_gen_bench_then_bench_round_trip(tmp_path, capsys, monkeypatch):
     assert rc == 0
     out = capsys.readouterr().out
     assert "hit rate: 1/1" in out
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda row: {k: v for k, v in row.items() if k != "gold"}, 'missing "gold"'),
+        (lambda row: ["x"], "not a JSON object"),
+        (lambda row: {**row, "task": "00"}, '"task" is not an integer'),
+        (lambda row: {**row, "gold": "nope"}, "\"gold\" 'nope' is not a registered predicate"),
+    ],
+    ids=["missing-field", "non-object", "string-task", "unknown-gold"],
+)
+def test_bench_malformed_manifest_row_exits_2(tmp_path, capsys, edit, message):
+    suite = tmp_path / "suite"
+    assert main(["gen-bench", "--tasks", "2", "--n", "20", "--out", str(suite)]) == 0
+    manifest = suite / "manifest.jsonl"
+    first, second = manifest.read_text(encoding="utf-8").splitlines()
+    edited = json.dumps(edit(json.loads(second)))
+    manifest.write_text(f"{first}\n\n{edited}\n", encoding="utf-8")  # blank lines are skipped
+    capsys.readouterr()
+    rc = main(["bench", "--suite", str(suite)])
+    assert rc == 2
+    assert f"line 3: {message} in {manifest}" in capsys.readouterr().err
 
 
 def test_gen_bench_gold_requires_rates(capsys):
