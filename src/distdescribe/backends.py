@@ -15,6 +15,7 @@ Judgments are memoized above this layer, by ``verifier.JudgmentCache``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -39,7 +40,7 @@ from .errors import (
     TransportError,
     UnparseablePromptError,
 )
-from .predicates import PREDICATES, parse_description
+from .predicates import PREDICATES, get_predicate, parse_description
 
 QUESTION_PREFIX = "Is it true that sentence A "
 
@@ -127,8 +128,28 @@ def _parse_prompt_groups(prompt: str) -> tuple[list[str], list[str]]:
     return groups["0"], groups["1"]
 
 
+SCORE_MEMO_SIZE = 2048
+
+
+@functools.lru_cache(maxsize=SCORE_MEMO_SIZE)
+def _score(predicate_id: str, text: str) -> float:
+    return get_predicate(predicate_id).score(text)
+
+
 class RuleBackend(Backend):
-    """Deterministic stand-in backed by the predicate registry."""
+    """Deterministic stand-in backed by the predicate registry.
+
+    A judgment compares the two texts' predicate scores, and a completion
+    ranks every predicate by its mean score per group, so one verification
+    asks for the same text's score about four times.  Scores are pure
+    functions of the text, so they are memoized in one module-level LRU
+    shared by every instance and both methods: ``_score(predicate_id, text)``
+    holds the score of the most recent ``SCORE_MEMO_SIZE`` (2,048) distinct
+    (predicate, text) pairs, so at worst it keeps 2,048 texts alive, one per
+    entry.  It memoizes scores, not judgments: answers and request counts
+    are the same as without it, and the judgment cache stays
+    ``verifier.JudgmentCache``.
+    """
 
     id = "rule"
 
@@ -136,8 +157,8 @@ class RuleBackend(Backend):
         group0, group1 = _parse_prompt_groups(req.prompt)
 
         def separation(pred) -> float:
-            mean1 = sum(pred.score(t) for t in group1) / len(group1)
-            mean0 = sum(pred.score(t) for t in group0) / len(group0)
+            mean1 = sum(_score(pred.id, t) for t in group1) / len(group1)
+            mean0 = sum(_score(pred.id, t) for t in group0) / len(group0)
             return mean1 - mean0
 
         ranked = sorted(PREDICATES, key=lambda p: (-separation(p), p.id))
@@ -154,7 +175,7 @@ class RuleBackend(Backend):
         if not req.context.startswith("A: ") or "\nB: " not in req.context:
             return "unknown"
         a_text, _, b_text = req.context[len("A: ") :].partition("\nB: ")
-        return "yes" if predicate.score(a_text) > predicate.score(b_text) else "no"
+        return "yes" if _score(predicate.id, a_text) > _score(predicate.id, b_text) else "no"
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ def _binary(test: Callable[[str], bool]) -> Callable[[str], float]:
 
 
 def _has_any_word(vocabulary: frozenset[str]) -> Callable[[str], bool]:
-    return lambda text: any(w in vocabulary for w in _words(text))
+    return lambda text: not vocabulary.isdisjoint(_words(text))
 
 
 def _drop_words(vocabulary: frozenset[str], extra: Callable[[str], bool] | None = None):
@@ -193,7 +193,7 @@ PREDICATES: tuple[Predicate, ...] = (
     Predicate(
         "digits",
         "contains numeric digits",
-        _binary(lambda t: any(c.isdigit() for c in t)),
+        _binary(lambda t: any(map(str.isdigit, t))),
         lambda t: t + " for 7 days",
         lambda t: re.sub(r" {2,}", " ", re.sub(r"\d+", "", t)).strip(),
     ),

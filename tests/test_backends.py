@@ -10,8 +10,12 @@ import time
 from contextlib import closing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distdescribe.backends import (
+    QUESTION_PREFIX,
+    SCORE_MEMO_SIZE,
     CompletionRequest,
     HttpBackend,
     JudgmentRequest,
@@ -19,11 +23,15 @@ from distdescribe.backends import (
     ReplayBackend,
     RuleBackend,
     _parse_prompt_groups,
+    _score,
     make_backend,
+    one_line,
     request_hash,
 )
 from distdescribe.config import EndpointConfig
 from distdescribe.corpus import Sample
+from distdescribe.predicates import PREDICATES
+from distdescribe.proposer import build_prompt
 from distdescribe.errors import (
     AuthError,
     CorruptStoreError,
@@ -105,6 +113,74 @@ def test_rule_judge_unknown_on_bad_input():
         )
     )
     assert bad_ctx == "unknown"
+
+
+# Pieces that make some predicate hold, plus line breaks and the context's
+# own separator, mixed with arbitrary Unicode.
+_FRAGMENTS = [
+    "?", "!", "zebra", "ZEBRA", "https://x.io", "not", "can't", "I", "my", "7", "²",
+    "٣", "İ", ":)", "walked", "will", "we'll", '"', "$", "euros", "...", "…", ",",
+    ";", "(aside)", "you", "Hello", "#tag", "a@b.org", "etc.", "rain", "\n", "B: ",
+    "\nB: ", "A: ",
+]
+_memo_text = st.lists(
+    st.sampled_from(_FRAGMENTS) | st.text(max_size=8), min_size=1, max_size=8
+).map(" ".join)
+
+
+def _reference_judgment(pred, a, b):
+    return "yes" if pred.score(one_line(a)) > pred.score(one_line(b)) else "no"
+
+
+def _judge_sample_texts(pred, a, b):
+    return RuleBackend().judge(
+        JudgmentRequest(
+            question=f"{QUESTION_PREFIX}{pred.description}?",
+            context=f"A: {one_line(a)}\nB: {one_line(b)}",
+        )
+    )
+
+
+@settings(max_examples=150, derandomize=True, database=None)
+@given(pred=st.sampled_from(PREDICATES), a=_memo_text, b=_memo_text)
+def test_rule_judge_equals_direct_scores_cold_warm_and_evicted(pred, a, b):
+    expected = _reference_judgment(pred, a, b)
+    _score.cache_clear()
+    assert _judge_sample_texts(pred, a, b) == expected  # cold
+    assert _judge_sample_texts(pred, a, b) == expected  # warm
+    for i in range(SCORE_MEMO_SIZE + 1):
+        _score("question", f"filler {i}")
+    assert _score.cache_info().currsize == SCORE_MEMO_SIZE
+    assert _judge_sample_texts(pred, a, b) == expected  # after evictions
+    assert _score.cache_info().currsize <= SCORE_MEMO_SIZE
+
+
+def _reference_ranking(texts0, texts1):
+    group0 = [one_line(t) for t in texts0]
+    group1 = [one_line(t) for t in texts1]
+
+    def separation(pred):
+        mean1 = sum(pred.score(t) for t in group1) / len(group1)
+        mean0 = sum(pred.score(t) for t in group0) / len(group0)
+        return mean1 - mean0
+
+    return [p.description for p in sorted(PREDICATES, key=lambda p: (-separation(p), p.id))]
+
+
+_memo_group = st.lists(_memo_text.filter(bool), min_size=1, max_size=5)
+
+
+@settings(max_examples=100, derandomize=True, database=None)
+@given(texts1=_memo_group, texts0=_memo_group, warm=st.booleans())
+def test_rule_complete_ranks_like_direct_scores(texts1, texts0, warm):
+    if not warm:
+        _score.cache_clear()
+    set1 = [Sample(id=f"g1:{i}", text=t) for i, t in enumerate(texts1)]
+    set0 = [Sample(id=f"g0:{i}", text=t) for i, t in enumerate(texts0)]
+    req = CompletionRequest(prompt=build_prompt(set1, set0).rendered, n=len(PREDICATES))
+    assert RuleBackend().complete(req) == _reference_ranking(texts0, texts1)
+    assert RuleBackend().complete(req) == _reference_ranking(texts0, texts1)
+    assert _score.cache_info().currsize <= SCORE_MEMO_SIZE
 
 
 # ---------------------------------------------------------------- request hash

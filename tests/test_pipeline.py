@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import distdescribe.discriminator as discriminator
-from distdescribe.backends import Backend, RuleBackend
+import distdescribe.pipeline as pipeline
+import distdescribe.predicates as predicates
+from distdescribe.backends import Backend, RuleBackend, _score
 from distdescribe.bench import generate_task
 from distdescribe.config import RunConfig
 from distdescribe.corpus import ClusteredCorpus
@@ -58,6 +62,33 @@ def test_describe_pair_featurizes_each_sample_once(monkeypatch):
     task = generate_task("question", 0.8, 0.1, 120, seed=5)
     describe_pair(task.pair, RunConfig())
     assert len(calls) == len(task.pair.d0) + len(task.pair.d1)
+
+
+def test_describe_pair_verification_scores_each_text_once_per_predicate(monkeypatch):
+    task = generate_task("question", 0.8, 0.1, 120, seed=5)
+    calls = Counter()
+
+    def counted(pred):
+        def score(text):
+            calls[pred.id, text] += 1
+            return pred.score(text)
+
+        return dataclasses.replace(pred, score=score)
+
+    for pred in predicates.PREDICATES:
+        monkeypatch.setitem(predicates._BY_ID, pred.id, counted(pred))
+    original_verify = pipeline.verify
+
+    def counted_verify(*args, **kwargs):
+        calls.clear()  # count the verifier's scorings only
+        return original_verify(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "verify", counted_verify)
+    _score.cache_clear()
+    report = describe_pair(task.pair, RunConfig())
+    assert report.ranked[0].hypothesis.s == "contains a question mark"
+    assert {pred_id for pred_id, _ in calls} >= {"question"}
+    assert max(calls.values()) == 1
 
 
 def test_describe_pair_rank_and_order_contract():

@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distdescribe.predicates import (
+    _FIRST_PERSON,
+    _SECOND_PERSON,
+    _WEATHER,
     PREDICATES,
+    _has_any_word,
+    _words,
     get_predicate,
     parse_description,
 )
@@ -120,3 +127,18 @@ def test_satisfiers_leave_other_scores_mostly_alone():
         # A few structural overlaps are unavoidable (adding words lengthens the
         # text; an emoticon is also punctuation) but they must stay rare.
         assert len(tripped) <= 1, f"{pred.id} trips {tripped}"
+
+
+# Digits and case changes outside ASCII, where str methods are easy to misjudge.
+_TRICKY = ["7", "²", "٣", "①", "İ", "I", "MY", "You!", "Zebras,", "RAIN.", "ß", "ﬁ", "\n"]
+_scorer_text = st.lists(st.sampled_from(_TRICKY) | st.text(max_size=6), max_size=6).map(" ".join)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(text=_scorer_text)
+def test_fast_scorers_match_their_reference_formulas(text):
+    assert get_predicate("digits").score(text) == (
+        1.0 if any(c.isdigit() for c in text) else 0.0
+    )
+    for vocabulary in (_FIRST_PERSON, _SECOND_PERSON, _WEATHER, frozenset(["zebra", "zebras"])):
+        assert _has_any_word(vocabulary)(text) == any(w in vocabulary for w in _words(text))
