@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distdescribe.backends import (
-    QUESTION_PREFIX,
     SCORE_MEMO_SIZE,
     CompletionRequest,
     HttpBackend,
@@ -30,8 +29,6 @@ from distdescribe.backends import (
 )
 from distdescribe.config import EndpointConfig
 from distdescribe.corpus import Sample
-from distdescribe.predicates import PREDICATES
-from distdescribe.proposer import build_prompt
 from distdescribe.errors import (
     AuthError,
     CorruptStoreError,
@@ -41,6 +38,8 @@ from distdescribe.errors import (
     TransportError,
     UnparseablePromptError,
 )
+from distdescribe.predicates import PREDICATES
+from distdescribe.proposer import build_prompt
 from distdescribe.verifier import ABSTAIN, Verifier
 
 QUESTION_PROMPT = (
@@ -128,30 +127,19 @@ _memo_text = st.lists(
 ).map(" ".join)
 
 
-def _reference_judgment(pred, a, b):
-    return "yes" if pred.score(one_line(a)) > pred.score(one_line(b)) else "no"
-
-
-def _judge_sample_texts(pred, a, b):
-    return RuleBackend().judge(
-        JudgmentRequest(
-            question=f"{QUESTION_PREFIX}{pred.description}?",
-            context=f"A: {one_line(a)}\nB: {one_line(b)}",
-        )
-    )
-
-
 @settings(max_examples=150, derandomize=True, database=None)
 @given(pred=st.sampled_from(PREDICATES), a=_memo_text, b=_memo_text)
 def test_rule_judge_equals_direct_scores_cold_warm_and_evicted(pred, a, b):
-    expected = _reference_judgment(pred, a, b)
+    a, b = one_line(a), one_line(b)
+    expected = {q.description: "yes" if q.score(a) > q.score(b) else "no" for q in PREDICATES}
     _score.cache_clear()
-    assert _judge_sample_texts(pred, a, b) == expected  # cold
-    assert _judge_sample_texts(pred, a, b) == expected  # warm
+    assert _judge(pred.description, a, b) == expected[pred.description]  # cold
+    for s, answer in expected.items():  # warm, the same texts memoized under each predicate
+        assert _judge(s, a, b) == answer
     for i in range(SCORE_MEMO_SIZE + 1):
         _score("question", f"filler {i}")
     assert _score.cache_info().currsize == SCORE_MEMO_SIZE
-    assert _judge_sample_texts(pred, a, b) == expected  # after evictions
+    assert _judge(pred.description, a, b) == expected[pred.description]  # after evictions
     assert _score.cache_info().currsize <= SCORE_MEMO_SIZE
 
 
