@@ -18,7 +18,7 @@ import numpy as np
 from .config import RunConfig
 from .corpus import Corpus, DistributionPair, Sample, load_corpus, save_corpus
 from .errors import MalformedRecordError, UnsatisfiablePredicateError
-from .pipeline import Report, describe_pair, verify
+from .pipeline import REPORT_FORMAT, Report, describe_pair, verify
 from .predicates import PREDICATES, get_predicate, parse_description
 from .backends import make_backend
 
@@ -115,7 +115,7 @@ class BenchReport:
 
     def to_dict(self) -> dict:
         return {
-            "format": "distdescribe-report-v1",
+            "format": REPORT_FORMAT,
             "kind": "bench",
             "top_k": self.top_k,
             "tasks": [r.to_dict() for r in self.results],

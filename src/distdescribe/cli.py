@@ -8,13 +8,12 @@ content only; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 from .bench import default_suite, generate_task, load_suite, run_bench, save_suite
-from .config import EndpointConfig, RunConfig, build_config, parse_config_file
+from .config import RunConfig, build_config, nest_settings, parse_config_file, parse_setting
 from .corpus import DistributionPair, load_clustered, load_corpus
 from .discriminator import train
 from .errors import (
@@ -25,9 +24,11 @@ from .errors import (
     UnknownClusterError,
 )
 from .pipeline import (
+    REPORT_FORMAT,
     Report,
     describe_pair,
     label_clusters,
+    report_json,
     report_table,
     shift_report,
     shortcut_scan,
@@ -36,75 +37,41 @@ from .pipeline import (
 from .proposer import first_prompt
 
 
-def _int_list(value: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in value.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integers, got {value!r}") from None
+# Each run flag sets one config key and parses its value exactly as a
+# config-file line setting that key would.
+RUN_FLAGS = (
+    ("--seed", "seed", "global seed"),
+    ("--pair-seed", "pair_seed", "pair-sampling seed"),
+    ("--prompt-seed", "prompt_seed", "prompt-sampling seed"),
+    ("--n-pairs", "n_pairs", "pairs per CA estimate"),
+    ("--top-k", "top_k", "ranked hypotheses to keep"),
+    ("--percentiles", "percentiles", "comma-separated percentiles, e.g. 5,20,100"),
+    ("--temperature", "temperature", "proposer sampling temperature"),
+    ("--max-completion-tokens", "max_completion_tokens", "max tokens per proposer completion"),
+    ("--in-flight", "in_flight", "concurrent requests"),
+    ("--proposer-backend", "proposer_backend", "http, rule, or replay:<path>"),
+    ("--verifier-backend", "verifier_backend", "http, rule, or replay:<path>"),
+    ("--proposer-base-url", "proposer.base_url", "proposer endpoint URL"),
+    ("--proposer-model", "proposer.model", "proposer model name"),
+    ("--verifier-base-url", "verifier.base_url", "verifier endpoint URL"),
+    ("--verifier-model", "verifier.model", "verifier model name"),
+    ("--cache", "cache_path", "judgment cache path"),
+    ("--out", "out_path", "write the machine-readable report here"),
+)
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="config file (distdescribe-config-v1)")
-    p.add_argument("--seed", type=int, help="global seed")
-    p.add_argument("--pair-seed", type=int, dest="pair_seed", help="pair-sampling seed")
-    p.add_argument("--prompt-seed", type=int, dest="prompt_seed", help="prompt-sampling seed")
-    p.add_argument("--n-pairs", type=int, dest="n_pairs", help="pairs per CA estimate")
-    p.add_argument("--top-k", type=int, dest="top_k", help="ranked hypotheses to keep")
-    p.add_argument(
-        "--percentiles", type=_int_list, help="comma-separated percentiles, e.g. 5,20,100"
-    )
-    p.add_argument("--temperature", type=float, help="proposer sampling temperature")
-    p.add_argument(
-        "--max-completion-tokens",
-        type=int,
-        dest="max_completion_tokens",
-        help="max tokens per proposer completion",
-    )
-    p.add_argument("--in-flight", type=int, dest="in_flight", help="concurrent requests")
-    p.add_argument(
-        "--proposer-backend",
-        dest="proposer_backend",
-        help="http, rule, or replay:<path>",
-    )
-    p.add_argument(
-        "--verifier-backend",
-        dest="verifier_backend",
-        help="http, rule, or replay:<path>",
-    )
-    p.add_argument(
-        "--proposer-base-url", dest="proposer_base_url", help="proposer endpoint URL"
-    )
-    p.add_argument(
-        "--proposer-model", dest="proposer_model", help="proposer model name"
-    )
-    p.add_argument(
-        "--verifier-base-url", dest="verifier_base_url", help="verifier endpoint URL"
-    )
-    p.add_argument(
-        "--verifier-model", dest="verifier_model", help="verifier model name"
-    )
-    p.add_argument("--cache", dest="cache_path", help="judgment cache path")
-    p.add_argument("--out", dest="out_path", help="write the machine-readable report here")
-
-
-def _flag_values(args: argparse.Namespace, cls, prefix: str = "") -> dict:
-    """The fields of ``cls`` set on the command line as ``--<prefix><field>``."""
-    values = {}
-    for f in fields(cls):
-        value = getattr(args, prefix + f.name, None)
-        if value is not None:
-            values[f.name] = value
-    return values
+    for flag, key, help_text in RUN_FLAGS:
+        p.add_argument(
+            flag, dest=key.replace(".", "_"), type=partial(parse_setting, key), help=help_text
+        )
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    flag_values = _flag_values(args, RunConfig)
-    for role in ("proposer", "verifier"):
-        overrides = _flag_values(args, EndpointConfig, prefix=f"{role}_")
-        if overrides:
-            flag_values[f"{role}_endpoint"] = overrides
-    return build_config(file_values, flag_values)
+    file_values = parse_config_file(args.config) if args.config else {}
+    flags = {key: getattr(args, key.replace(".", "_")) for _, key, _ in RUN_FLAGS}
+    return build_config(file_values, nest_settings(flags))
 
 
 def _load_pair(args: argparse.Namespace) -> DistributionPair:
@@ -114,14 +81,13 @@ def _load_pair(args: argparse.Namespace) -> DistributionPair:
     )
 
 
-def _write_out(config: RunConfig, doc: dict) -> None:
+def _write_out(config: RunConfig, doc) -> None:
     if config.out_path:
-        text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-        Path(config.out_path).write_text(text, encoding="utf-8")
+        Path(config.out_path).write_text(report_json(doc), encoding="utf-8")
 
 
 def _emit_report(config: RunConfig, report: Report) -> None:
-    _write_out(config, report.to_dict())
+    _write_out(config, report)
     sys.stdout.write(report_table(report))
 
 
@@ -138,7 +104,7 @@ def cmd_label_clusters(args: argparse.Namespace) -> int:
     clustered = load_clustered(args.input)
     reports = label_clusters(clustered, config)
     doc = {
-        "format": "distdescribe-report-v1",
+        "format": REPORT_FORMAT,
         "kind": "label-clusters",
         "clusters": {cid: rep.to_dict() for cid, rep in reports.items()},
     }
@@ -172,7 +138,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 raise UnknownClusterError(f"label {label!r} not present in {args.input}")
         labeled = {label: labeled[label] for label in wanted}
     scan = shortcut_scan(labeled, config)
-    _write_out(config, scan.to_dict())
+    _write_out(config, scan)
     for (label0, label1), rep in scan.reports:
         sys.stdout.write(f"=== {label1} vs {label0} ===\n")
         sys.stdout.write(report_table(rep))
@@ -183,7 +149,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     (est,), _ = verify([args.hypothesis], _load_pair(args), config)
-    _write_out(config, est.to_dict())
+    _write_out(config, est)
     mode = "exhaustive" if est.exhaustive else f"sampled seed={est.seed}"
     sys.stdout.write(
         f"CA {est.mean:.3f} stderr {est.stderr:.3f} (n_pairs={est.n_pairs}, {mode})\n"
@@ -195,7 +161,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     tasks = load_suite(args.suite)
     report = run_bench(tasks, config)
-    _write_out(config, report.to_dict())
+    _write_out(config, report)
     sys.stdout.write(report.table())
     return 0
 
@@ -293,9 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BackendError as exc:
         print(f"distdescribe: backend error: {exc}", file=sys.stderr)
@@ -303,10 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     except PipelineAbortedError as exc:
         print(f"distdescribe: {exc}", file=sys.stderr)
         return 4
-    except (DistDescribeError, ValueError) as exc:
-        print(f"distdescribe: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DistDescribeError, ValueError, OSError) as exc:
         print(f"distdescribe: {exc}", file=sys.stderr)
         return 2
 

@@ -35,6 +35,10 @@ class EndpointConfig:
             raise ConfigError(f"route must be 'completions' or 'chat', got {self.route!r}")
         if self.retries < 1:
             raise ConfigError(f"retries must be >= 1, got {self.retries}")
+        if not self.timeout_s > 0:
+            raise ConfigError(f"timeout_s must be > 0, got {self.timeout_s}")
+        if not self.backoff_s >= 0:
+            raise ConfigError(f"backoff_s must be >= 0, got {self.backoff_s}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,9 @@ class RunConfig:
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("seed", "pair_seed", "prompt_seed"):
+            if (getattr(self, name) or 0) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 1 <= self.samples_per_side <= 5:
             raise ConfigError(f"samples_per_side must be in [1, 5], got {self.samples_per_side}")
         if not self.percentiles:
@@ -105,58 +112,69 @@ class RunConfig:
         return echo
 
 
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-
-
-def _parse_int_list(key: str, value: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part.strip()) for part in value.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated integers, got {value!r}") from None
-
-
-def _parse_str_list(key: str, value: str) -> tuple[str, ...]:
+def _str_list(text: str) -> tuple[str, ...]:
     # JSON array syntax so separators and escapes (a literal comma, "\n")
     # can appear inside the items themselves.
-    try:
-        parsed = json.loads(value)
-    except json.JSONDecodeError:
-        raise ConfigError(f"{key}: expected a JSON array of strings, got {value!r}") from None
+    parsed = json.loads(text)
     if not isinstance(parsed, list) or not all(isinstance(x, str) for x in parsed):
-        raise ConfigError(f"{key}: expected a JSON array of strings, got {value!r}")
+        raise ValueError(text)
     return tuple(parsed)
 
 
-def _parse_str(key: str, value: str) -> str:
-    return value
-
-
-# Value parser by field annotation; a field of any other type fails import.
+# Value parser and what it expects, by field annotation; a field of any
+# other type fails import.
 _PARSERS = {
-    "int": _parse_int,
-    "int | None": _parse_int,
-    "float": _parse_float,
-    "str": _parse_str,
-    "str | None": _parse_str,
-    "tuple[int, ...]": _parse_int_list,
-    "tuple[str, ...]": _parse_str_list,
+    "int": (int, "an integer"),
+    "int | None": (int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, "a string"),
+    "str | None": (str, "a string"),
+    "tuple[int, ...]": (_int_list, "comma-separated integers"),
+    "tuple[str, ...]": (_str_list, "a JSON array of strings"),
 }
 
-_SCALAR_KEYS = {
-    f.name: _PARSERS[f.type] for f in fields(RunConfig) if f.type != "EndpointConfig"
-}
-_ENDPOINT_KEYS = {f.name: _PARSERS[f.type] for f in fields(EndpointConfig)}
+# Every config key, as a config-file line names it: endpoint fields are
+# "<role>.<field>".
+_SETTINGS = {f.name: _PARSERS[f.type] for f in fields(RunConfig) if f.type != "EndpointConfig"}
+_SETTINGS.update(
+    (f"{role}.{f.name}", _PARSERS[f.type])
+    for role in ("proposer", "verifier")
+    for f in fields(EndpointConfig)
+)
+
+
+def parse_setting(key: str, text: str):
+    """The value of config key ``key`` written as ``text``.
+
+    A config-file line ``key = text`` and the key's run flag both parse here,
+    so they accept the same values and fail with the same message.
+    """
+    parse, expected = _SETTINGS[key]
+    try:
+        return parse(text)
+    except ValueError:  # json.JSONDecodeError is a ValueError
+        raise ConfigError(f"{key}: expected {expected}, got {text!r}") from None
+
+
+def nest_settings(settings: dict) -> dict:
+    """The set (non-None) settings as ``build_config`` takes them.
+
+    Endpoint keys ("proposer.model") nest under their role ("proposer_endpoint").
+    """
+    values: dict = {}
+    for key, value in settings.items():
+        if value is None:
+            continue
+        role, dot, sub = key.partition(".")
+        if dot:
+            values.setdefault(f"{role}_endpoint", {})[sub] = value
+        else:
+            values[key] = value
+    return values
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -172,7 +190,7 @@ def parse_config_file(path: str | Path) -> dict:
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
 
-    values: dict = {}
+    settings: dict = {}
     saw_header = False
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -189,19 +207,12 @@ def parse_config_file(path: str | Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key in _SCALAR_KEYS:
-            values[key] = _SCALAR_KEYS[key](key, value)
-        elif "." in key:
-            prefix, _, sub = key.partition(".")
-            if prefix not in ("proposer", "verifier") or sub not in _ENDPOINT_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values.setdefault(f"{prefix}_endpoint", {})[sub] = _ENDPOINT_KEYS[sub](key, value)
-        else:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        settings[key] = parse_setting(key, value.strip())
     if not saw_header:
         raise ConfigError(f"{path}: missing {CONFIG_FORMAT!r} header")
-    return values
+    return nest_settings(settings)
 
 
 def build_config(file_values: dict | None = None, flag_values: dict | None = None) -> RunConfig:

@@ -1,7 +1,8 @@
 """Text corpora, two-sided distribution pairs, and clustered corpora.
 
-Samples are kept verbatim: only a single trailing newline is stripped per
-line, because candidate descriptions may hinge on punctuation or whitespace.
+Samples are kept verbatim, because candidate descriptions may hinge on
+punctuation or whitespace: a JSONL "text" value is taken as is, and a
+``lines`` file loses only each line's terminator.
 Duplicate texts are retained; they carry distributional weight when pairs
 are sampled for accuracy estimation.
 """
@@ -113,7 +114,6 @@ def _record_text(line_number: int, record: dict) -> str:
     text = record["text"]
     if not isinstance(text, str):
         raise MalformedRecordError(line_number, '"text" is not a string')
-    text = _strip_trailing_newline(text)
     if text == "":
         raise MalformedRecordError(line_number, "empty text")
     return text

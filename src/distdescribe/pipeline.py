@@ -74,9 +74,14 @@ class Report:
         }
 
 
-def report_json(report: Report) -> str:
-    """Canonical machine-readable rendering (stable across identical runs)."""
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+def report_json(report) -> str:
+    """Canonical machine-readable rendering (stable across identical runs).
+
+    Renders every ``--out`` document: a report, or anything else with a
+    ``to_dict()``, or a plain dict.
+    """
+    doc = report if isinstance(report, dict) else report.to_dict()
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def report_table(report: Report) -> str:

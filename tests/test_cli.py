@@ -4,15 +4,22 @@ from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
 from distdescribe.backends import RecordingBackend, RuleBackend
 from distdescribe.bench import generate_task
-from distdescribe.cli import _add_run_flags, _config_from_args, main
-from distdescribe.config import CONFIG_FORMAT, RunConfig
+from distdescribe.cli import RUN_FLAGS, _add_run_flags, _config_from_args, main
+from distdescribe.config import (
+    CONFIG_FORMAT,
+    EndpointConfig,
+    RunConfig,
+    build_config,
+    parse_config_file,
+)
 from distdescribe.corpus import save_corpus
-from distdescribe.errors import PipelineAbortedError
+from distdescribe.errors import ConfigError, PipelineAbortedError
 from distdescribe.pipeline import describe_pair
 
 from conftest import write_jsonl
@@ -380,14 +387,32 @@ def _resolve(config, dest):
     return getattr(config, dest)
 
 
+# A flag value for each field annotation, unlike every default.
+_FLAG_TEXTS = {
+    "int": "7",
+    "int | None": "7",
+    "float": "0.25",
+    "str": "replay:t.jsonl",
+    "str | None": "replay:t.jsonl",
+    "tuple[int, ...]": "7,9",
+}
+
+
+def _annotation(key):
+    """The field annotation behind a config key, e.g. proposer.model -> EndpointConfig.model."""
+    cls, name = (EndpointConfig, key.partition(".")[2]) if "." in key else (RunConfig, key)
+    return {f.name: f.type for f in fields(cls)}[name]
+
+
 def test_every_run_flag_reaches_the_config():
     parser = argparse.ArgumentParser()
     _add_run_flags(parser)
     flags = [a for a in parser._actions if a.option_strings and a.dest not in ("help", "config")]
+    keys = {flag: key for flag, key, _ in RUN_FLAGS}
     argv = []
     for action in flags:
-        value = {int: "7", float: "0.25"}.get(action.type, "replay:t.jsonl")
-        argv += [action.option_strings[0], "7,9" if action.dest == "percentiles" else value]
+        flag = action.option_strings[0]
+        argv += [flag, _FLAG_TEXTS[_annotation(keys[flag])]]
     args = parser.parse_args(argv)
     config = _config_from_args(args)
 
@@ -395,3 +420,37 @@ def test_every_run_flag_reaches_the_config():
         value = _resolve(config, action.dest)
         assert value == getattr(args, action.dest), action.dest
         assert value != _resolve(RunConfig(), action.dest), action.dest
+
+
+# Flag texts each annotation's keys reject: unparsable, or out of range.
+_REJECTED = {
+    "int": ("x", "-1"),
+    "int | None": ("x", "-1"),
+    "float": ("x",),
+    "tuple[int, ...]": ("5,x", "0"),
+}
+# Keys whose every text is valid until it is used: a URL, a model name, a path.
+_FREE_TEXT = {
+    "proposer.base_url",
+    "proposer.model",
+    "verifier.base_url",
+    "verifier.model",
+    "cache_path",
+    "out_path",
+}
+
+
+@pytest.mark.parametrize("flag, key", [row[:2] for row in RUN_FLAGS], ids=[r[0] for r in RUN_FLAGS])
+def test_bad_flag_value_fails_like_its_config_line(tmp_path, capsys, flag, key):
+    texts = _REJECTED.get(_annotation(key), ("telegraph",) if key.endswith("_backend") else ())
+    assert texts or key in _FREE_TEXT
+    argv = ["describe", "--d0", str(tmp_path / "d0.jsonl"), "--d1", str(tmp_path / "d1.jsonl")]
+    conf = tmp_path / "run.conf"
+    for text in texts:
+        conf.write_text(f"{CONFIG_FORMAT}\n{key} = {text}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as excinfo:
+            build_config(parse_config_file(conf))
+        assert main(argv + ["--config", str(conf)]) == 2
+        assert main(argv + [flag, text]) == 2
+        expected = f"distdescribe: {excinfo.value}\n"
+        assert capsys.readouterr() == ("", expected * 2), (flag, text)

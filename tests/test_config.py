@@ -71,12 +71,31 @@ def test_validation_rejects_nonsense():
         ("sets_per_percentile", 0),
         ("completions_per_set", 0),
         ("max_completion_tokens", 0),
+        ("seed", -1),
+        ("pair_seed", -1),
+        ("prompt_seed", -1),
     ],
 )
 def test_validation_rejects_bad_run_settings(field, value):
     # Each would otherwise fail only mid-run, after the discriminator is trained.
     with pytest.raises(ConfigError, match=field):
         RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("timeout_s", 0.0),
+        ("timeout_s", -1.0),
+        ("timeout_s", float("nan")),
+        ("backoff_s", -0.5),
+        ("backoff_s", float("nan")),
+    ],
+)
+def test_validation_rejects_bad_endpoint_timings(field, value):
+    # A negative backoff would otherwise fail only after a retryable HTTP error.
+    with pytest.raises(ConfigError, match=field):
+        EndpointConfig(**{field: value})
 
 
 def test_replay_selector_accepted():

@@ -86,9 +86,10 @@ def test_trailing_newline_stripped_text_otherwise_verbatim(tmp_path):
 
 
 def test_round_trip_byte_exact(tmp_path):
-    texts = ["plain", "has \"quotes\"", "tab\there", "unicode: café — ok"]
+    texts = ["plain", "has \"quotes\"", "tab\there", "unicode: café — ok", "abc\n", "a\r\n", "\r", "\n"]
     src = write_jsonl(tmp_path / "src.jsonl", [{"text": t} for t in texts])
     corpus = load_corpus(src, "jsonl")
+    assert [s.text for s in corpus.samples] == texts
     out = tmp_path / "out.jsonl"
     save_corpus(corpus, out)
     reloaded = load_corpus(out, "jsonl")
@@ -114,6 +115,14 @@ def test_load_clustered_groups_in_order(tmp_path):
     assert set(clustered.clusters) == {"c1", "c2"}
     assert [s.text for s in clustered.clusters["c1"].samples] == ["a", "c"]
     assert [s.text for s in clustered.clusters["c2"].samples] == ["b"]
+
+
+def test_load_clustered_keeps_text_verbatim(tmp_path):
+    texts = ["abc\n", "a\r\n", "\r", "\n"]
+    rows = [{"text": t, "cluster": f"c{i % 2}"} for i, t in enumerate(texts)]
+    clustered = load_clustered(write_jsonl(tmp_path / "clusters.jsonl", rows))
+    assert [s.text for s in clustered.clusters["c0"].samples] == ["abc\n", "\r"]
+    assert [s.text for s in clustered.clusters["c1"].samples] == ["a\r\n", "\n"]
 
 
 def test_load_clustered_single_cluster_rejected(tmp_path):
