@@ -26,7 +26,7 @@ import warnings
 from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import BinaryIO, Iterator
 
 import requests
 
@@ -287,8 +287,8 @@ class HttpBackend(Backend):
 # ---------------------------------------------------------------------------
 # Append-only JSONL stores: transcripts here, judgment caches in the verifier
 
-# json.loads without its per-call checks: a judgment cache is loaded row by
-# row on every describe.
+# json.loads without its per-call checks: a judgment cache's rows are
+# decoded one by one.
 _decode_json = json.JSONDecoder().decode
 # json.dumps(row, ensure_ascii=False, sort_keys=True) without an encoder per row.
 _encode_row = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
@@ -302,35 +302,42 @@ def _parse_row(line: bytes) -> dict | None:
     return row if isinstance(row, dict) else None
 
 
-def read_jsonl(path: Path) -> Iterator[dict]:
-    """Rows of an append-only JSONL store, in file order.
+@dataclass
+class JsonlEnd:
+    """Where a read of an append-only JSONL store stopped."""
 
-    A crash mid-append leaves a final line without its newline that does
-    not parse; it is skipped with a warning, and the next
-    :meth:`JsonlAppender.append` cuts it off.  Any other line that does not
-    parse to an object raises :class:`CorruptStoreError` naming ``path:line``.
+    offset: int = 0  # bytes, just past the last complete line read
+    lines: int = 0  # complete lines before ``offset``
+
+
+def read_jsonl(fh: BinaryIO, end: JsonlEnd | None = None) -> Iterator[tuple[int, dict]]:
+    """``(line number, row)`` for each row of the JSONL store open as ``fh``.
+
+    Reading starts at ``end``, where an earlier read stopped (by default the
+    start of the file), and advances ``end`` past each complete line, so
+    afterwards it says where this read stopped; line numbers count from the
+    start of the file.  Blank lines are skipped.  A crash mid-append leaves
+    a final line without its newline that does not parse; it is skipped
+    with a warning, and the next :meth:`JsonlAppender.append` cuts it off.
+    Any other line that does not parse to an object raises
+    :class:`CorruptStoreError` naming ``path:line``.
     """
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            row = _parse_row(line)
-            if row is None:
-                if line.isspace():
-                    continue
-                if not line.endswith(b"\n"):
-                    warnings.warn(f"{path}:{lineno}: skipping torn final line", stacklevel=2)
-                    return
-                raise CorruptStoreError(f"{path}:{lineno}: not a JSON object")
-            yield row
-
-
-def unusable_row(path: Path, usable: Callable[[dict], bool], need: str) -> CorruptStoreError:
-    """The error naming the first row of ``path`` that parses but ``usable`` rejects."""
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            row = _parse_row(line)
-            if row is not None and not usable(row):
-                return CorruptStoreError(f"{path}:{lineno}: {need}")
-    return CorruptStoreError(f"{path}: {need}")
+    end = end if end is not None else JsonlEnd()
+    fh.seek(end.offset)
+    for line in fh:
+        lineno = end.lines + 1
+        complete = line.endswith(b"\n")
+        row = _parse_row(line)
+        if row is None and not line.isspace():
+            if not complete:
+                warnings.warn(f"{fh.name}:{lineno}: skipping torn final line", stacklevel=2)
+                return
+            raise CorruptStoreError(f"{fh.name}:{lineno}: not a JSON object")
+        if complete:  # a final row without its newline is read again next time
+            end.offset += len(line)
+            end.lines = lineno
+        if row is not None:
+            yield lineno, row
 
 
 def _usable_transcript_row(row: dict) -> bool:
@@ -423,11 +430,12 @@ class ReplayBackend(Backend):
         if not self.store_path.exists():
             raise ReplayMissError(f"transcript not found: {self.store_path}")
         self._by_hash: dict[str, deque] = {}
-        for row in read_jsonl(self.store_path):
-            if not _usable_transcript_row(row):
-                need = 'a row needs a "hash" and a "response" of its "kind" (complete or judge)'
-                raise unusable_row(self.store_path, _usable_transcript_row, need)
-            self._by_hash.setdefault(row["hash"], deque()).append(row["response"])
+        with open(self.store_path, "rb") as fh:
+            for lineno, row in read_jsonl(fh):
+                if not _usable_transcript_row(row):
+                    need = 'a row needs a "hash" and a "response" of its "kind" (complete or judge)'
+                    raise CorruptStoreError(f"{self.store_path}:{lineno}: {need}")
+                self._by_hash.setdefault(row["hash"], deque()).append(row["response"])
         self._lock = threading.Lock()
 
     def _serve(self, req) -> object:

@@ -8,6 +8,7 @@ reproduced from its output alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -78,6 +79,8 @@ class RunConfig:
         for name in ("seed", "pair_seed", "prompt_seed"):
             if (getattr(self, name) or 0) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0 <= self.temperature < math.inf:  # NaN fails every comparison
+            raise ConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
         if not 1 <= self.samples_per_side <= 5:
             raise ConfigError(f"samples_per_side must be in [1, 5], got {self.samples_per_side}")
         if not self.percentiles:

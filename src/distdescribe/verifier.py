@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import string
 import threading
-from dataclasses import asdict, dataclass
+import zlib
+from dataclasses import asdict, dataclass, replace
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -26,13 +28,13 @@ from .backends import (
     QUESTION_PREFIX,
     Backend,
     JsonlAppender,
+    JsonlEnd,
     JudgmentRequest,
     one_line,
     read_jsonl,
-    unusable_row,
 )
 from .corpus import DistributionPair, Sample
-from .errors import AuthError, BackendError, ReplayMissError
+from .errors import AuthError, BackendError, CorruptStoreError, ReplayMissError
 
 ABSTAIN = 0.5
 _VALUES = (0.0, ABSTAIN, 1.0)
@@ -79,6 +81,84 @@ def _usable_row(row: dict) -> bool:
     return isinstance(row.get("key"), str) and row.get("value") in _VALUES
 
 
+@dataclass
+class _StoreIndex:
+    """The usable rows of one store file, as far as they have been read."""
+
+    file: tuple[int, int]  # (st_dev, st_ino)
+    end: JsonlEnd
+    crc: int  # zlib.crc32 of the file's bytes before end.offset
+    values: dict[str, float]  # row key -> value
+
+
+# The most recently opened store, so reopening it reads only the rows
+# appended since.  One store at a time: opening another releases it.
+_index: _StoreIndex | None = None
+_index_lock = threading.Lock()
+
+
+def _crc(fh, start: int, stop: int, crc: int = 0) -> int:
+    """``crc`` extended over the bytes of ``fh`` from ``start`` up to ``stop``."""
+    fh.seek(start)
+    while start < stop:
+        chunk = fh.read(min(stop - start, 1 << 16))
+        if not chunk:
+            break
+        crc = zlib.crc32(chunk, crc)
+        start += len(chunk)
+    return crc
+
+
+def _read_store(path: Path) -> dict[str, float]:
+    """Row key -> value for the store at ``path``, each row decoded once per process.
+
+    Reuses the rows read at an earlier open when the file is the same one
+    (device and inode) and its bytes up to where that read stopped are
+    unchanged (length and CRC-32), and reads only what follows; otherwise
+    it releases the held rows and reads the file from its first byte.
+    """
+    global _index
+    with _index_lock:
+        index, _index = _index, None  # held again once this read succeeds
+        try:
+            fh = open(path, "rb")
+        except FileNotFoundError:
+            return {}
+        with fh:
+            stat = os.fstat(fh.fileno())
+            file = (stat.st_dev, stat.st_ino)
+            if (
+                index is None
+                or index.file != file
+                or stat.st_size < index.end.offset
+                or _crc(fh, 0, index.end.offset) != index.crc
+            ):
+                index = _StoreIndex(file, JsonlEnd(), 0, {})  # drops the rows held before
+            end = replace(index.end)
+            fresh: dict[str, float] = {}
+            # Checked once read, not row by row: decoding is most of a read.
+            try:
+                for _, row in read_jsonl(fh, end):
+                    fresh[row["key"]] = row["value"]
+                usable = set(fresh.values()).issubset(_VALUES)
+            except (KeyError, TypeError):
+                usable = False
+            if not usable:
+                rows = read_jsonl(fh, replace(index.end))
+                lineno = next(n for n, row in rows if not _usable_row(row))
+                raise CorruptStoreError(
+                    f'{path}:{lineno}: a row needs a "key" and a "value" of 0, 0.5 or 1'
+                )
+            index.crc = _crc(fh, index.end.offset, end.offset, index.crc)
+            index.end = end
+            if index.values:
+                index.values.update(fresh)
+            else:  # a full read: no copy
+                index.values = fresh
+            _index = index
+            return index.values
+
+
 class JudgmentCache:
     """In-memory judgment memo with an optional append-only jsonl store.
 
@@ -87,26 +167,22 @@ class JudgmentCache:
     rows loaded from the store, and at most once per new judgment.  Store
     rows are checked once loaded: a row without a ``key`` or ``value``, or a
     loaded value other than 0, 0.5 or 1, raises :class:`CorruptStoreError`.
+
+    A process holds the rows of one store, the one opened last, and
+    decodes each row once: opening that store again reads only the rows
+    appended since.  A store rewritten, truncated or replaced since it was
+    read is read again from its start, and opening another store, or a
+    missing one, releases the rows held.  So only a process that opens a
+    store more than once, as ``run_bench`` does per task, gains; a single
+    describe reads its store once either way.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._memo: dict[Judgment, float] = {}
-        self._stored: dict[str, float] = {}
+        self._stored: dict[str, float] = {} if self.path is None else _read_store(self.path)
         self._lock = threading.Lock()
         self._writer = JsonlAppender(self.path) if self.path is not None else None
-        if self.path is not None and self.path.exists():
-            # Checked once loaded, not row by row: a store is read per describe.
-            try:
-                for row in read_jsonl(self.path):
-                    self._stored[row["key"]] = row["value"]
-                usable = set(self._stored.values()).issubset(_VALUES)
-            except (KeyError, TypeError):
-                usable = False
-            if not usable:
-                raise unusable_row(
-                    self.path, _usable_row, 'a row needs a "key" and a "value" of 0, 0.5 or 1'
-                )
 
     @staticmethod
     def key(backend_id: str, s: str, a_text: str, b_text: str) -> str:

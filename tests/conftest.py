@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from distdescribe import backends
 from distdescribe.corpus import Corpus, DistributionPair, Sample
 
 
@@ -32,6 +34,22 @@ def write_jsonl(path, rows):
 def jsonl_corpus(tmp_path):
     """A three-sample jsonl corpus file on disk."""
     return write_jsonl(tmp_path / "small.jsonl", [{"text": "a"}, {"text": "b"}, {"text": "c"}])
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """How often each store line was decoded to a row, by its bytes."""
+    counts = Counter()
+    parse = backends._parse_row
+
+    def counting(line):
+        row = parse(line)
+        if row is not None:
+            counts[line] += 1
+        return row
+
+    monkeypatch.setattr(backends, "_parse_row", counting)
+    return counts
 
 
 class _Script:

@@ -139,6 +139,33 @@ def test_run_bench_gold_ca_equals_a_direct_estimate(tmp_path, monkeypatch, top_k
     assert gold_backend.judge_calls == 0  # every gold judgment came from the run's cache
 
 
+def test_run_bench_reopens_its_store_without_decoding_a_row_twice(
+    tmp_path, monkeypatch, decoded
+):
+    judge_calls = []
+    judge = RuleBackend.judge
+
+    def counting_judge(self, req):
+        judge_calls.append(req)
+        return judge(self, req)
+
+    monkeypatch.setattr(RuleBackend, "judge", counting_judge)
+    # The first task's gold ranks second, so at top-1 its gold CA is estimated
+    # through the store too.
+    tasks = [generate_task("question", 0.55, 0.45, 40, seed=2)]
+    tasks += default_suite(task_count=2, n_per_side=30, seed=5)
+    config = RunConfig(top_k=1, n_pairs=100, cache_path=str(tmp_path / "c.jsonl"))
+
+    cold = run_bench(tasks, config).to_dict()
+    assert cold["tasks"][0]["gold_rank"] is None
+    assert judge_calls
+    judge_calls.clear()
+    warm = run_bench(tasks, config).to_dict()
+    assert judge_calls == []
+    assert warm == cold
+    assert decoded and set(decoded.values()) == {1}
+
+
 def test_run_bench_report_serializes():
     tasks = default_suite(task_count=2, n_per_side=30, seed=5)
     report = run_bench(tasks, RunConfig())

@@ -440,9 +440,15 @@ _FREE_TEXT = {
 }
 
 
+# Keys that reject more texts than their annotation's.
+_REJECTED_BY_KEY = {"temperature": ("x", "nan", "inf", "-3")}
+
+
 @pytest.mark.parametrize("flag, key", [row[:2] for row in RUN_FLAGS], ids=[r[0] for r in RUN_FLAGS])
 def test_bad_flag_value_fails_like_its_config_line(tmp_path, capsys, flag, key):
-    texts = _REJECTED.get(_annotation(key), ("telegraph",) if key.endswith("_backend") else ())
+    texts = _REJECTED_BY_KEY.get(key) or _REJECTED.get(
+        _annotation(key), ("telegraph",) if key.endswith("_backend") else ()
+    )
     assert texts or key in _FREE_TEXT
     argv = ["describe", "--d0", str(tmp_path / "d0.jsonl"), "--d1", str(tmp_path / "d1.jsonl")]
     conf = tmp_path / "run.conf"

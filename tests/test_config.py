@@ -74,12 +74,20 @@ def test_validation_rejects_nonsense():
         ("seed", -1),
         ("pair_seed", -1),
         ("prompt_seed", -1),
+        ("temperature", float("nan")),
+        ("temperature", float("inf")),
+        ("temperature", float("-inf")),
+        ("temperature", -3.0),
     ],
 )
 def test_validation_rejects_bad_run_settings(field, value):
     # Each would otherwise fail only mid-run, after the discriminator is trained.
     with pytest.raises(ConfigError, match=field):
         RunConfig(**{field: value})
+
+
+def test_zero_temperature_accepted():
+    assert RunConfig(temperature=0.0).temperature == 0.0
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,10 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import sys
 import threading
 import warnings
+from collections import Counter
 from contextlib import closing
 from pathlib import Path
 
@@ -343,6 +345,163 @@ def test_judgment_cache_rejects_unusable_row(tmp_path, row):
         fh.write(json.dumps(row) + "\n")
     with pytest.raises(CorruptStoreError, match=r"c\.jsonl:2: a row needs"):
         JudgmentCache(path)
+
+
+def _store_line(a_text, b_text, value):
+    """One store row, as the line a cache appends, judging ``QUESTION`` on (a_text, b_text)."""
+    row = {
+        "key": JudgmentCache.key(RuleBackend.id, QUESTION, a_text, b_text),
+        "s": QUESTION,
+        "a_id": "x:0",
+        "b_id": "y:0",
+        "answer": "yes" if value else "no",
+        "value": value,
+    }
+    return json.dumps(row, sort_keys=True) + "\n"
+
+
+def _stored(cache, a_text, b_text):
+    return cache.get((RuleBackend.id, QUESTION, a_text, b_text))[0]
+
+
+def test_reopened_store_decodes_each_row_once(tmp_path, decoded):
+    path = tmp_path / "c.jsonl"
+    lines = [_store_line(f"a{i}?", "b", 1.0) for i in range(5)]
+    path.write_text("".join(lines), encoding="utf-8")
+    for _ in range(3):
+        assert _stored(JudgmentCache(path), "a4?", "b") == 1.0
+    assert decoded == Counter(line.encode() for line in lines)
+
+
+def test_rows_appended_between_opens_are_hits(tmp_path, decoded):
+    path = tmp_path / "c.jsonl"
+    path.write_text(_store_line("a?", "b", 1.0), encoding="utf-8")
+    assert _stored(JudgmentCache(path), "b", "a?") is None
+
+    _judge_into(path, _sample("b", "y:0"), _sample("a?", "x:0"))  # another cache appends
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(_store_line("c?", "d", 1.0))  # and so does something else
+
+    cache = JudgmentCache(path)
+    assert _stored(cache, "a?", "b") == 1.0
+    assert _stored(cache, "b", "a?") == 0.0
+    assert _stored(cache, "c?", "d") == 1.0
+    assert len(decoded) == 3 and set(decoded.values()) == {1}
+
+
+def _rewrite_same_size(path, text):
+    with open(path, "r+", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _rewrite_larger(path, text):
+    path.write_text(text + _store_line("e?", "f", 1.0), encoding="utf-8")
+
+
+def _recreate(path, text):
+    path.unlink()
+    path.write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("rewrite", [_rewrite_same_size, _rewrite_larger, _recreate])
+def test_rewritten_store_is_read_again(tmp_path, rewrite):
+    # Only the first row changes, and to a value of the same length, so the
+    # file keeps its size and its last line.
+    path = tmp_path / "c.jsonl"
+    last = _store_line("c?", "d", 1.0)
+    path.write_text(_store_line("a?", "b", 1.0) + last, encoding="utf-8")
+    assert _stored(JudgmentCache(path), "a?", "b") == 1.0
+    rewrite(path, _store_line("a?", "b", 0.0) + last)
+    cache = JudgmentCache(path)
+    assert _stored(cache, "a?", "b") == 0.0
+    assert _stored(cache, "c?", "d") == 1.0
+
+
+def test_truncated_store_is_read_again(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text(_store_line("a?", "b", 1.0) + _store_line("c?", "d", 1.0), encoding="utf-8")
+    assert _stored(JudgmentCache(path), "c?", "d") == 1.0
+    path.write_text(_store_line("a?", "b", 1.0), encoding="utf-8")
+    cache = JudgmentCache(path)
+    assert _stored(cache, "a?", "b") == 1.0
+    assert _stored(cache, "c?", "d") is None
+
+
+@pytest.mark.parametrize("finish", ["completed", "cut off by the next append"])
+def test_torn_final_line_is_read_once_finished(tmp_path, decoded, finish):
+    path = tmp_path / "c.jsonl"
+    first, torn = _store_line("a?", "b", 1.0), _store_line("b", "a?", 0.0)
+    path.write_text(first + torn[:20], encoding="utf-8")
+    for _ in range(2):
+        with pytest.warns(UserWarning, match=r"c\.jsonl:2: skipping torn final line"):
+            cache = JudgmentCache(path)
+        assert _stored(cache, "b", "a?") is None
+
+    if finish == "completed":
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(torn[20:])
+    else:
+        assert Verifier(RuleBackend(), cache).judge(QUESTION, _sample("b"), _sample("a?")) == 0.0
+        cache.close()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            cache = JudgmentCache(path)
+            assert _stored(cache, "a?", "b") == 1.0
+            assert _stored(cache, "b", "a?") == 0.0
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 2
+    assert len(decoded) == 2 and set(decoded.values()) == {1}
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("{not json\n", "not a JSON object"),
+        ('{"key": "k"}\n', "a row needs"),
+        ('{"key": "k", "value": 2}\n', "a row needs"),
+    ],
+)
+def test_bad_row_appended_after_open_names_its_line(tmp_path, line, error):
+    path = tmp_path / "c.jsonl"
+    path.write_text(_store_line("a?", "b", 1.0) + "\n", encoding="utf-8")  # a blank line 2
+    JudgmentCache(path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(_store_line("c?", "d", 1.0) + line)
+    for _ in range(2):  # the failed read kept nothing, so this one reads from the start
+        with pytest.raises(CorruptStoreError, match=rf"c\.jsonl:4: {error}"):
+            JudgmentCache(path)
+
+
+def test_threads_reopening_one_store_decode_each_row_once(tmp_path, decoded):
+    path = tmp_path / "c.jsonl"
+    errors = []
+
+    def work(worker):
+        try:
+            for round in range(5):
+                a = _sample(f"w{worker} r{round}?", f"x:{worker}")
+                assert _judge_into(path, a, _sample("plain", "y:0")) == 1.0
+        except Exception as exc:  # reported below; a thread's exception is otherwise lost
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+    cache = JudgmentCache(path)
+    for w in range(6):
+        for r in range(5):
+            assert _stored(cache, f"w{w} r{r}?", "plain") == 1.0
+    assert len(decoded) == 30 and set(decoded.values()) == {1}
 
 
 def test_memo_without_store_never_hashes(monkeypatch):
