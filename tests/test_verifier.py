@@ -476,31 +476,30 @@ def test_threads_reopening_one_store_decode_each_row_once(tmp_path, decoded):
     path = tmp_path / "c.jsonl"
     errors = []
 
-    def work(worker):
+    def reopen(newest):
         try:
-            for round in range(5):
-                a = _sample(f"w{worker} r{round}?", f"x:{worker}")
-                assert _judge_into(path, a, _sample("plain", "y:0")) == 1.0
+            for _ in range(3):
+                assert _stored(JudgmentCache(path), newest, "b") == 1.0
         except Exception as exc:  # reported below; a thread's exception is otherwise lost
             errors.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(w,)) for w in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+        for round in range(5):  # rows appended between rounds, read by racing opens
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.writelines(_store_line(f"r{round} a{i}?", "b", 1.0) for i in range(6))
+            threads = [
+                threading.Thread(target=reopen, args=(f"r{round} a5?",)) for _ in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-
-    cache = JudgmentCache(path)
-    for w in range(6):
-        for r in range(5):
-            assert _stored(cache, f"w{w} r{r}?", "plain") == 1.0
     assert len(decoded) == 30 and set(decoded.values()) == {1}
 
 
