@@ -318,7 +318,7 @@ def read_jsonl(fh: BinaryIO, end: JsonlEnd | None = None) -> Iterator[tuple[int,
     afterwards it says where this read stopped; line numbers count from the
     start of the file.  Blank lines are skipped.  A crash mid-append leaves
     a final line without its newline that does not parse; it is skipped
-    with a warning, and the next :meth:`JsonlAppender.append` cuts it off.
+    with a warning, and the next :func:`append_jsonl` cuts it off.
     Any other line that does not parse to an object raises
     :class:`CorruptStoreError` naming ``path:line``.
     """
@@ -349,24 +349,16 @@ def _usable_transcript_row(row: dict) -> bool:
     return typed and isinstance(row.get("hash"), str)
 
 
-class JsonlAppender:
-    """Appends rows to one JSONL store through a handle kept open between rows.
+def append_jsonl(path: Path, rows: list[dict]) -> None:
+    """Append ``rows`` to the JSONL store at ``path`` in one write, then close it.
 
-    The file is opened on the first row.  Every row starts on a fresh line
-    of the file as it is now, even if something else appended to it since,
-    and is flushed before :meth:`append` returns.  Callers serialize
-    appends to one path.
+    The rows start on a fresh line of the file as it is now, even if
+    something else appended to it since: a torn final line (one that does
+    not parse) is cut off, and a whole row missing only its newline gets
+    one.  Callers serialize appends to one path.
     """
-
-    def __init__(self, path: Path):
-        self.path = path
-        self._fh = None
-
-    def append(self, row: dict) -> None:
-        blob = (_encode_row(row) + "\n").encode("utf-8")
-        if self._fh is None:
-            self._fh = open(self.path, "a+b")
-        fh = self._fh
+    blob = "".join(_encode_row(row) + "\n" for row in rows).encode("utf-8")
+    with open(path, "a+b") as fh:
         size = fh.seek(0, os.SEEK_END)
         if size:
             fh.seek(size - 1)
@@ -379,12 +371,6 @@ class JsonlAppender:
                 else:
                     blob = b"\n" + blob
         fh.write(blob)
-        fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
 
 
 class RecordingBackend(Backend):
@@ -394,19 +380,13 @@ class RecordingBackend(Backend):
         self.inner = inner
         self.id = inner.id
         self.path = Path(store_path)
-        self._writer = JsonlAppender(self.path)
         self._lock = threading.Lock()
 
     def _record(self, kind: str, req, response):
         row = {"kind": kind, "hash": request_hash(req), "response": response}
         with self._lock:
-            self._writer.append(row)
+            append_jsonl(self.path, [row])
         return response
-
-    def close(self) -> None:
-        """Close the transcript; a later request opens it again."""
-        with self._lock:
-            self._writer.close()
 
     def complete(self, req: CompletionRequest) -> list[str]:
         return self._record("complete", req, self.inner.complete(req))

@@ -27,9 +27,9 @@ import numpy as np
 from .backends import (
     QUESTION_PREFIX,
     Backend,
-    JsonlAppender,
     JsonlEnd,
     JudgmentRequest,
+    append_jsonl,
     one_line,
     read_jsonl,
 )
@@ -120,11 +120,7 @@ def _read_store(path: Path) -> dict[str, float]:
     global _index
     with _index_lock:
         index, _index = _index, None  # held again once this read succeeds
-        try:
-            fh = open(path, "rb")
-        except FileNotFoundError:
-            return {}
-        with fh:
+        with open(path, "rb") as fh:
             stat = os.fstat(fh.fileno())
             file = (stat.st_dev, stat.st_ino)
             if (
@@ -168,21 +164,32 @@ class JudgmentCache:
     rows are checked once loaded: a row without a ``key`` or ``value``, or a
     loaded value other than 0, 0.5 or 1, raises :class:`CorruptStoreError`.
 
+    The store is created when the cache is built, so a store that cannot be
+    written fails before any judgment is sent.  :meth:`put` only records a
+    new judgment in memory and queues its row; :meth:`flush` appends the
+    queued rows in one write, and :meth:`Verifier.estimate_ca` flushes
+    before it returns, so each description's rows reach the store together,
+    and a process killed in the middle of a description loses only that
+    description's new rows.  No file is held open between writes.
+
     A process holds the rows of one store, the one opened last, and
     decodes each row once: opening that store again reads only the rows
     appended since.  A store rewritten, truncated or replaced since it was
-    read is read again from its start, and opening another store, or a
-    missing one, releases the rows held.  So only a process that opens a
-    store more than once, as ``run_bench`` does per task, gains; a single
-    describe reads its store once either way.
+    read is read again from its start, and opening another store releases
+    the rows held.  So only a process that opens a store more than once,
+    as ``run_bench`` does per task, gains; a single describe reads its
+    store once either way.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
+        if self.path is not None:
+            open(self.path, "ab").close()  # creates it; an unwritable path fails before judging
         self._memo: dict[Judgment, float] = {}
         self._stored: dict[str, float] = {} if self.path is None else _read_store(self.path)
         self._lock = threading.Lock()
-        self._writer = JsonlAppender(self.path) if self.path is not None else None
+        self._pending: list[dict] = []  # rows not yet written to the store
+        self._write_lock = threading.Lock()
 
     @staticmethod
     def key(backend_id: str, s: str, a_text: str, b_text: str) -> str:
@@ -216,7 +223,7 @@ class JudgmentCache:
             if judgment in self._memo:
                 return
             self._memo[judgment] = value
-            if self._writer is None:
+            if self.path is None:
                 return
             if key is None:
                 key = self.key(*judgment)
@@ -229,13 +236,19 @@ class JudgmentCache:
                     "answer": answer,
                     "value": value,
                 }
-                self._writer.append(row)
+                self._pending.append(row)
+
+    def flush(self) -> None:
+        """Append the rows queued since the last flush to the store, in one write."""
+        with self._write_lock:  # one append at a time, in the order rows were taken
+            with self._lock:
+                rows, self._pending = self._pending, []
+            if rows:
+                append_jsonl(self.path, rows)
 
     def close(self) -> None:
-        """Close the store's file; a later :meth:`put` opens it again."""
-        if self._writer is not None:
-            with self._lock:
-                self._writer.close()
+        """Write the rows still queued: those of :meth:`Verifier.judge` calls made alone."""
+        self.flush()
 
 
 class Verifier:
@@ -302,7 +315,8 @@ class Verifier:
 
         Pairs are drawn with replacement from a seeded generator; when the
         full cross product is no larger than ``n_pairs`` it is enumerated
-        instead, which removes Monte-Carlo noise entirely.
+        instead, which removes Monte-Carlo noise entirely.  The new judgments'
+        rows reach the cache's store, in one append, before it returns.
         """
         if n_pairs < 1:
             raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -317,6 +331,7 @@ class Verifier:
             drawn = [(d1[int(i)], d0[int(j)]) for i, j in zip(idx1, idx0)]
 
         values = np.array([self.h_hat(s, x1, x0) for x1, x0 in drawn])
+        self.cache.flush()
         mean = float(values.mean())
         if len(values) > 1:
             stderr = float(values.std(ddof=1) / math.sqrt(len(values)))

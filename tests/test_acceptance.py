@@ -259,8 +259,6 @@ def test_criterion_09_http_robustness(tmp_path, http_server):
     recorded = describe_pair(
         task.pair, config, proposer_backend=proposer, verifier_backend=verifier
     )
-    proposer.close()
-    verifier.close()
     hits_after_recording = live.hits
     assert hits_after_recording > 0
 

@@ -7,7 +7,6 @@ import socket
 import sys
 import threading
 import time
-from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -536,7 +535,6 @@ def test_record_then_replay_round_trip(tmp_path):
     )
     completions = recorder.complete(creq)
     answer = recorder.judge(jreq)
-    recorder.close()
 
     replay = ReplayBackend(store)
     assert replay.complete(creq) == completions
@@ -550,8 +548,7 @@ def test_replay_missing_store(tmp_path):
 
 def test_replay_unknown_request(tmp_path):
     store = tmp_path / "transcript.jsonl"
-    with closing(RecordingBackend(RuleBackend(), store)) as recorder:
-        recorder.complete(CompletionRequest(prompt=QUESTION_PROMPT))
+    RecordingBackend(RuleBackend(), store).complete(CompletionRequest(prompt=QUESTION_PROMPT))
     replay = ReplayBackend(store)
     with pytest.raises(ReplayMissError):
         replay.complete(CompletionRequest(prompt=QUESTION_PROMPT, n=2))
@@ -580,8 +577,7 @@ JREQ = JudgmentRequest(
 
 def test_replay_skips_torn_final_line(tmp_path):
     store = tmp_path / "transcript.jsonl"
-    with closing(RecordingBackend(RuleBackend(), store)) as recorder:
-        answer = recorder.judge(JREQ)
+    answer = RecordingBackend(RuleBackend(), store).judge(JREQ)
     with open(store, "ab") as fh:
         fh.write(b'{"hash": "0f3a')  # a crash mid-append
     with pytest.warns(UserWarning, match=r"transcript\.jsonl:2: skipping torn final line"):
@@ -602,8 +598,7 @@ def test_replay_skips_torn_final_line(tmp_path):
 )
 def test_replay_rejects_unusable_row(tmp_path, row):
     store = tmp_path / "transcript.jsonl"
-    with closing(RecordingBackend(RuleBackend(), store)) as recorder:
-        recorder.judge(JREQ)
+    RecordingBackend(RuleBackend(), store).judge(JREQ)
     with open(store, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(row) + "\n")
     with pytest.raises(CorruptStoreError, match=r"transcript\.jsonl:2: a row needs"):
@@ -612,8 +607,7 @@ def test_replay_rejects_unusable_row(tmp_path, row):
 
 def test_replay_rejects_corruption_mid_file(tmp_path):
     store = tmp_path / "transcript.jsonl"
-    with closing(RecordingBackend(RuleBackend(), store)) as recorder:
-        recorder.judge(JREQ)
+    RecordingBackend(RuleBackend(), store).judge(JREQ)
     store.write_text("[1, 2]\n" + store.read_text(encoding="utf-8"), encoding="utf-8")
     with pytest.raises(CorruptStoreError, match=r"transcript\.jsonl:1"):
         ReplayBackend(store)
@@ -634,7 +628,6 @@ def test_recording_starts_on_a_fresh_line(tmp_path, tail, kept):
         fh.write(tail)
     creq = CompletionRequest(prompt=QUESTION_PROMPT, n=2)
     completions = recorder.complete(creq)
-    recorder.close()
 
     lines = store.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2 + kept

@@ -172,8 +172,6 @@ def test_aborted_pipeline_exits_4(tmp_path, capsys):
     verifier = RecordingBackend(_AbstainingJudge(), v_store)
     with pytest.raises(PipelineAbortedError):
         describe_pair(task.pair, RunConfig(), proposer_backend=proposer, verifier_backend=verifier)
-    proposer.close()
-    verifier.close()
     rc = main(
         [
             "describe",
@@ -265,6 +263,20 @@ def test_verify_cache_writes_store_then_serves_repeat(
     assert main(argv) == 0
     assert calls == []
     assert capsys.readouterr().out == first
+
+
+def test_verify_cache_that_cannot_be_created_exits_2_before_judging(
+    zebra_task_files, tmp_path, capsys, monkeypatch
+):
+    d0, d1 = zebra_task_files
+    store = tmp_path / "missing" / "c.jsonl"
+    calls = []
+    monkeypatch.setattr(RuleBackend, "judge", lambda self, req: calls.append(req) or "yes")
+    argv = ["verify", "--hypothesis", "contains the word 'zebra'", "--d0", str(d0), "--d1", str(d1)]
+    assert main(argv + ["--cache", str(store)]) == 2
+    assert "distdescribe:" in capsys.readouterr().err
+    assert calls == []
+    assert not store.parent.exists()
 
 
 def test_gen_bench_then_bench_round_trip(tmp_path, capsys, monkeypatch):

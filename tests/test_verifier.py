@@ -9,6 +9,7 @@ import sys
 import threading
 import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from pathlib import Path
 
@@ -17,13 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distdescribe.backends import Backend, RuleBackend
-from distdescribe.bench import generate_task
+from distdescribe import verifier as verifier_module
+from distdescribe.backends import Backend, RuleBackend, append_jsonl
+from distdescribe.bench import default_suite, generate_task, run_bench
 from distdescribe.config import RunConfig
 from distdescribe.corpus import DistributionPair, Sample
 from distdescribe.errors import AuthError, CorruptStoreError, ProviderError, ReplayMissError
-from distdescribe.pipeline import describe_pair
-from distdescribe.predicates import get_predicate
+from distdescribe.pipeline import describe_pair, report_json, verify
+from distdescribe.predicates import PREDICATES, get_predicate
 from distdescribe.verifier import (
     ABSTAIN,
     JudgmentCache,
@@ -599,6 +601,121 @@ def test_concurrent_misses_write_one_row(tmp_path):
     assert backend.judge_calls == 2
     assert verifier.judgment_count == 2
     assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
+
+@pytest.fixture
+def appends(monkeypatch):
+    """The rows of each append a judgment cache makes to its store, in order."""
+    calls = []
+
+    def counting(path, rows):
+        calls.append(list(rows))
+        append_jsonl(path, rows)
+
+    monkeypatch.setattr(verifier_module, "append_jsonl", counting)
+    return calls
+
+
+def _rows(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_store_that_cannot_be_created_fails_when_opened(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        JudgmentCache(tmp_path / "missing" / "c.jsonl")
+
+
+def test_estimate_ca_writes_its_rows_before_returning(tmp_path, appends):
+    path = tmp_path / "c.jsonl"
+    task = generate_task("question", 0.8, 0.1, 40, seed=3)
+    Verifier(RuleBackend(), JudgmentCache(path)).estimate_ca(QUESTION, task.pair, n_pairs=30)
+    assert len(appends) == 1
+    keys = [row["key"] for row in _rows(path)]
+    assert len(keys) == len(set(keys)) == len(appends[0])
+
+    backend = _CountingJudge()
+    Verifier(backend, JudgmentCache(path)).estimate_ca(QUESTION, task.pair, n_pairs=30)
+    assert backend.judge_calls == 0
+
+
+def test_describe_appends_once_per_description_with_new_judgments(tmp_path, appends):
+    task = generate_task("question", 0.8, 0.1, 40, seed=5)
+    top = describe_pair(task.pair, RunConfig(n_pairs=20)).ranked[0].hypothesis.s
+    config = RunConfig(n_pairs=20, in_flight=1, cache_path=str(tmp_path / "c.jsonl"))
+    verify([top], task.pair, config)  # every judgment of one candidate already stored
+    report = describe_pair(task.pair, config)
+    assert len(appends) == 1 + report.candidate_count - 1
+    assert all(len({row["s"] for row in rows}) == 1 for rows in appends)
+    assert sum(map(len, appends)) == len(_rows(tmp_path / "c.jsonl"))
+
+
+def test_describe_whose_judgments_all_hit_appends_nothing(tmp_path, appends):
+    store = tmp_path / "c.jsonl"
+    task = generate_task("question", 0.8, 0.1, 40, seed=5)
+    config = RunConfig(n_pairs=20, cache_path=str(store))
+    cold = describe_pair(task.pair, config)
+    written = store.read_bytes()
+    appends.clear()
+    warm = describe_pair(task.pair, config)
+    assert appends == []
+    assert store.read_bytes() == written
+    assert report_json(warm) == report_json(cold)
+
+
+def test_describe_without_store_appends_nothing(appends):
+    task = generate_task("question", 0.8, 0.1, 40, seed=5)
+    describe_pair(task.pair, RunConfig(n_pairs=20))
+    assert appends == []
+
+
+def test_put_does_no_file_io(tmp_path, monkeypatch):
+    def no_io(path, rows):
+        raise AssertionError("a row was written outside a flush")
+
+    monkeypatch.setattr(verifier_module, "append_jsonl", no_io)
+    path = tmp_path / "c.jsonl"
+    cache = JudgmentCache(path)
+    a, b = _sample("a?", "x:0"), _sample("b", "y:0")
+    assert Verifier(RuleBackend(), cache).judge(QUESTION, a, b) == 1.0
+    assert _stored(cache, a.text, b.text) == 1.0
+    assert path.read_bytes() == b""
+
+
+def test_threads_judging_and_flushing_write_every_row_once(tmp_path):
+    path = tmp_path / "c.jsonl"
+    cache = JudgmentCache(path)
+    verifier = Verifier(RuleBackend(), cache)
+    pairs = [(_sample(f"a{i}?", f"x:{i}"), _sample(f"b{i}", f"y:{i}")) for i in range(400)]
+
+    def judge_and_flush(chunk):
+        for a, b in chunk:
+            verifier.judge(QUESTION, a, b)
+            cache.flush()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(judge_and_flush, pairs[i::8]) for i in range(8)]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    keys = {row["key"] for row in _rows(path)}
+    assert len(_rows(path)) == len(keys) == len(pairs)
+    assert keys == {JudgmentCache.key(RuleBackend.id, QUESTION, a.text, b.text) for a, b in pairs}
+
+
+def test_run_bench_writes_the_same_rows_at_any_in_flight(tmp_path):
+    tasks = default_suite(task_count=3, n_per_side=30, seed=5)
+    stores = {}
+    for in_flight in (4, 1):
+        store = tmp_path / f"in-flight-{in_flight}.jsonl"
+        run_bench(tasks, RunConfig(n_pairs=100, in_flight=in_flight, cache_path=str(store)))
+        lines = store.read_text(encoding="utf-8").splitlines()
+        assert len({json.loads(line)["key"] for line in lines}) == len(lines)
+        stores[in_flight] = set(lines)
+    assert stores[4] == stores[1]
 
 
 @settings(max_examples=300, derandomize=True, database=None)
