@@ -10,7 +10,8 @@ Implementations of the same two-method interface:
   pair to a JSONL transcript; ``ReplayBackend`` serves a transcript back
   for offline reproduction of a recorded run.
 
-Judgments are memoized above this layer, by ``verifier.JudgmentCache``.
+Judgments and completions are memoized above this layer, by
+``verifier.JudgmentCache``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import threading
 import time
 import warnings
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -77,11 +78,18 @@ class JudgmentRequest:
             raise ValueError("question and context must both be non-empty")
 
 
+# json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+# without an encoder per call: a cached describe hashes each of its requests.
+_encode_canonical = json.JSONEncoder(
+    sort_keys=True, ensure_ascii=False, separators=(",", ":")
+).encode
+
+
 def request_hash(req: CompletionRequest | JudgmentRequest) -> str:
     """Stable digest of the full canonicalized request body."""
     kind = "complete" if isinstance(req, CompletionRequest) else "judge"
-    payload = {"kind": kind, **asdict(req)}
-    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    # vars, not asdict: the fields are strings, numbers and tuples of strings.
+    blob = _encode_canonical({"kind": kind, **vars(req)})
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -340,29 +348,38 @@ def read_jsonl(fh: BinaryIO, end: JsonlEnd | None = None) -> Iterator[tuple[int,
             yield lineno, row
 
 
+def is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(t, str) for t in value)
+
+
 def _usable_transcript_row(row: dict) -> bool:
     kind, response = row.get("kind"), row.get("response")
     if kind == "complete":
-        typed = isinstance(response, list) and all(isinstance(t, str) for t in response)
+        typed = is_string_list(response)
     else:
         typed = kind == "judge" and isinstance(response, str)
     return typed and isinstance(row.get("hash"), str)
 
 
-def append_jsonl(path: Path, rows: list[dict]) -> None:
+def append_jsonl(path: Path, rows: list[dict]) -> tuple[int, bytes] | None:
     """Append ``rows`` to the JSONL store at ``path`` in one write, then close it.
 
     The rows start on a fresh line of the file as it is now, even if
     something else appended to it since: a torn final line (one that does
     not parse) is cut off, and a whole row missing only its newline gets
     one.  Callers serialize appends to one path.
+
+    Returns the file's size before the write and the bytes written there,
+    or None when the file's end was repaired first.
     """
     blob = "".join(_encode_row(row) + "\n" for row in rows).encode("utf-8")
     with open(path, "a+b") as fh:
         size = fh.seek(0, os.SEEK_END)
+        written = size, blob
         if size:
             fh.seek(size - 1)
             if fh.read(1) != b"\n":
+                written = None
                 fh.seek(0)
                 data = fh.read()
                 start = data.rfind(b"\n") + 1
@@ -371,6 +388,7 @@ def append_jsonl(path: Path, rows: list[dict]) -> None:
                 else:
                     blob = b"\n" + blob
         fh.write(blob)
+    return written
 
 
 class RecordingBackend(Backend):

@@ -55,7 +55,7 @@ RUN_FLAGS = (
     ("--proposer-model", "proposer.model", "proposer model name"),
     ("--verifier-base-url", "verifier.base_url", "verifier endpoint URL"),
     ("--verifier-model", "verifier.model", "verifier model name"),
-    ("--cache", "cache_path", "judgment cache path"),
+    ("--cache", "cache_path", "judgment and completion cache path"),
     ("--out", "out_path", "write the machine-readable report here"),
 )
 

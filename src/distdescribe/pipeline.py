@@ -130,23 +130,27 @@ def verify(
     pair: DistributionPair,
     config: RunConfig,
     backend: Backend | None = None,
+    cache: JudgmentCache | None = None,
 ) -> tuple[list[CAEstimate], Verifier]:
     """Each description's CA on the run's seeded pairs, in order, and the verifier.
 
     The one place a run verifies: through the config's verifier backend unless
-    one is passed, the run's judgment cache, and ``in_flight`` workers.
+    one is passed, the run's judgment cache, and ``in_flight`` workers.  When
+    no cache is passed, it opens the config's own and closes it on return.
     """
+    if cache is None:
+        with closing(JudgmentCache(config.cache_path)) as cache:
+            return verify(descriptions, pair, config, backend, cache)
     if backend is None:
         backend = make_backend(config.verifier_backend, config.verifier_endpoint)
     pair_seed = config.effective_pair_seed
-    with closing(JudgmentCache(config.cache_path)) as cache:
-        verifier = Verifier(backend, cache)
+    verifier = Verifier(backend, cache)
 
-        def score(s: str) -> CAEstimate:
-            return verifier.estimate_ca(s, pair, n_pairs=config.n_pairs, seed=pair_seed)
+    def score(s: str) -> CAEstimate:
+        return verifier.estimate_ca(s, pair, n_pairs=config.n_pairs, seed=pair_seed)
 
-        with ThreadPoolExecutor(max_workers=config.in_flight) as pool:
-            estimates = list(pool.map(score, descriptions))
+    with ThreadPoolExecutor(max_workers=config.in_flight) as pool:
+        estimates = list(pool.map(score, descriptions))
     return estimates, verifier
 
 
@@ -160,16 +164,19 @@ def describe_pair(
     """Run the full loop on one distribution pair and rank the findings.
 
     Backends may be passed directly (tests, embedding); otherwise they are
-    built from the config selectors.  All candidates are scored on the same
-    seeded pair set, so their CA values are directly comparable.
+    built from the config selectors.  The proposer and the verifier share
+    one cache, opened and closed here.  All candidates are scored on the
+    same seeded pair set, so their CA values are directly comparable.
     """
     if proposer_backend is None:
         proposer_backend = make_backend(config.proposer_backend, config.proposer_endpoint)
 
-    disc = train(pair)
-    candidates: CandidateSet = propose(disc, proposer_backend, config)
-    hypotheses = candidates.hypotheses
-    estimates, verifier = verify([h.s for h in hypotheses], pair, config, verifier_backend)
+    with closing(JudgmentCache(config.cache_path)) as cache:
+        disc = train(pair)
+        candidates: CandidateSet = propose(disc, proposer_backend, config, cache)
+        hypotheses = candidates.hypotheses
+        descriptions = [h.s for h in hypotheses]
+        estimates, verifier = verify(descriptions, pair, config, verifier_backend, cache)
 
     if verifier.abstain_fraction > 0.5:
         raise PipelineAbortedError(verifier.abstain_count, verifier.judgment_count)

@@ -22,6 +22,7 @@ from .config import RunConfig
 from .corpus import Sample
 from .discriminator import Discriminator, select_percentile
 from .errors import AllCompletionsEmptyError, EmptySampleSetError
+from .verifier import JudgmentCache
 
 INSTRUCTION = "Compared to group 0, each sentence from group 1"
 TOKEN_BUDGET = 2048
@@ -187,14 +188,22 @@ def first_prompt(
     return next(_prompts(disc, config, p))
 
 
-def propose(disc: Discriminator, backend: Backend, config: RunConfig) -> CandidateSet:
+def propose(
+    disc: Discriminator,
+    backend: Backend,
+    config: RunConfig,
+    cache: JudgmentCache | None = None,
+) -> CandidateSet:
     """Collect, normalize, and deduplicate candidate hypotheses.
 
     For each percentile, ``sets_per_percentile`` sample sets are drawn with
-    a per-percentile seeded generator and each is sent for
-    ``completions_per_set`` completions.  Requests may run concurrently;
-    results are merged in (percentile, set, completion) order so the
-    outcome does not depend on arrival order.
+    a per-percentile seeded generator and each is asked for
+    ``completions_per_set`` completions.  Each request is looked up in
+    ``cache`` first (a memory-only one when none is passed), and each
+    distinct miss is sent once; the new completions reach the cache's store
+    in one append.  Requests may run concurrently; results are merged in
+    (percentile, set, completion) order so the outcome does not depend on
+    arrival order.
     """
     tasks: list[tuple[int, int, CompletionRequest]] = []
     for p in config.percentiles:
@@ -209,14 +218,21 @@ def propose(disc: Discriminator, backend: Backend, config: RunConfig) -> Candida
             )
             tasks.append((p, set_index, req))
 
+    cache = cache if cache is not None else JudgmentCache()
+    found = {req: cache.get_completions(backend.id, req) for _, _, req in tasks}
+    misses = [req for req, completions in found.items() if completions is None]
     with ThreadPoolExecutor(max_workers=config.in_flight) as pool:
-        responses = list(pool.map(backend.complete, [req for _, _, req in tasks]))
+        sent = list(pool.map(backend.complete, misses))
+    for req, completions in zip(misses, sent):
+        found[req] = completions
+        cache.put_completions(backend.id, req, completions)
+    cache.flush()
 
     hypotheses: list[Hypothesis] = []
     seen: set[str] = set()
     raw_count = 0
-    for (p, set_index, _), completions in zip(tasks, responses):
-        for completion_index, raw in enumerate(completions):
+    for p, set_index, req in tasks:
+        for completion_index, raw in enumerate(found[req]):
             raw_count += 1
             result = normalize_hypothesis(raw, config.forbidden_tokens)
             if isinstance(result, RejectionReason):

@@ -27,11 +27,14 @@ import numpy as np
 from .backends import (
     QUESTION_PREFIX,
     Backend,
+    CompletionRequest,
     JsonlEnd,
     JudgmentRequest,
     append_jsonl,
+    is_string_list,
     one_line,
     read_jsonl,
+    request_hash,
 )
 from .corpus import DistributionPair, Sample
 from .errors import AuthError, BackendError, CorruptStoreError, ReplayMissError
@@ -42,6 +45,8 @@ _VALUES = (0.0, ABSTAIN, 1.0)
 
 # (backend id, description, text A, text B): what one directed judgment asks.
 Judgment = tuple[str, str, str, str]
+# (backend id, request): what one proposer completion request asks.
+Completion = tuple[str, CompletionRequest]
 
 
 def build_question(s: str, a: Sample, b: Sample) -> JudgmentRequest:
@@ -77,8 +82,20 @@ def _answer_value(answer: str) -> float:
     return ABSTAIN
 
 
+def _hold(row: dict, values: dict[str, float], completions: dict[str, list[str]]) -> None:
+    """File a store row under its key: a completion row's completions, else its value."""
+    if "completions" in row:
+        completions[row["key"]] = row["completions"]
+    else:
+        values[row["key"]] = row["value"]
+
+
 def _usable_row(row: dict) -> bool:
-    return isinstance(row.get("key"), str) and row.get("value") in _VALUES
+    if "completions" in row:
+        typed = is_string_list(row["completions"])
+    else:
+        typed = row.get("value") in _VALUES
+    return typed and isinstance(row.get("key"), str)
 
 
 @dataclass
@@ -88,7 +105,8 @@ class _StoreIndex:
     file: tuple[int, int]  # (st_dev, st_ino)
     end: JsonlEnd
     crc: int  # zlib.crc32 of the file's bytes before end.offset
-    values: dict[str, float]  # row key -> value
+    values: dict[str, float]  # judgment row key -> value
+    completions: dict[str, list[str]]  # completion row key -> completions
 
 
 # The most recently opened store, so reopening it reads only the rows
@@ -109,8 +127,8 @@ def _crc(fh, start: int, stop: int, crc: int = 0) -> int:
     return crc
 
 
-def _read_store(path: Path) -> dict[str, float]:
-    """Row key -> value for the store at ``path``, each row decoded once per process.
+def _read_store(path: Path) -> _StoreIndex:
+    """The rows of the store at ``path``, each row decoded once per process.
 
     Reuses the rows read at an earlier open when the file is the same one
     (device and inode) and its bytes up to where that read stopped are
@@ -129,73 +147,109 @@ def _read_store(path: Path) -> dict[str, float]:
                 or stat.st_size < index.end.offset
                 or _crc(fh, 0, index.end.offset) != index.crc
             ):
-                index = _StoreIndex(file, JsonlEnd(), 0, {})  # drops the rows held before
+                index = _StoreIndex(file, JsonlEnd(), 0, {}, {})  # drops the rows held before
             end = replace(index.end)
             fresh: dict[str, float] = {}
+            fresh_completions: dict[str, list[str]] = {}
             # Checked once read, not row by row: decoding is most of a read.
             try:
                 for _, row in read_jsonl(fh, end):
-                    fresh[row["key"]] = row["value"]
-                usable = set(fresh.values()).issubset(_VALUES)
+                    _hold(row, fresh, fresh_completions)
+                usable = set(fresh.values()).issubset(_VALUES) and all(
+                    map(is_string_list, fresh_completions.values())
+                )
             except (KeyError, TypeError):
                 usable = False
             if not usable:
                 rows = read_jsonl(fh, replace(index.end))
                 lineno = next(n for n, row in rows if not _usable_row(row))
                 raise CorruptStoreError(
-                    f'{path}:{lineno}: a row needs a "key" and a "value" of 0, 0.5 or 1'
+                    f'{path}:{lineno}: a row needs a "key" and a "value" of 0, 0.5 or 1,'
+                    ' or "completions" that are a list of strings'
                 )
             index.crc = _crc(fh, index.end.offset, end.offset, index.crc)
             index.end = end
-            if index.values:
+            if index.values or index.completions:
                 index.values.update(fresh)
+                index.completions.update(fresh_completions)
             else:  # a full read: no copy
-                index.values = fresh
+                index.values, index.completions = fresh, fresh_completions
             _index = index
-            return index.values
+            return index
+
+
+def _index_appended(index: _StoreIndex, rows: list[dict], size: int, blob: bytes) -> None:
+    """Add ``rows``, appended as ``blob`` at ``size``, to ``index`` if it ends there.
+
+    Otherwise the index is left as it is, and the next open reads the rows
+    as it reads those of any other writer.
+    """
+    with _index_lock:
+        if _index is not index or index.end.offset != size:
+            return
+        index.crc = zlib.crc32(blob, index.crc)
+        index.end = JsonlEnd(size + len(blob), index.end.lines + len(rows))
+        for row in rows:
+            _hold(row, index.values, index.completions)
 
 
 class JudgmentCache:
-    """In-memory judgment memo with an optional append-only jsonl store.
+    """In-memory judgment and completion memo with an optional append-only jsonl store.
 
-    The memo is keyed by the :data:`Judgment` tuple itself; its sha256
-    :meth:`key` is computed only to write a row to the store and to look up
-    rows loaded from the store, and at most once per new judgment.  Store
-    rows are checked once loaded: a row without a ``key`` or ``value``, or a
-    loaded value other than 0, 0.5 or 1, raises :class:`CorruptStoreError`.
+    Judgments are memoized by the :data:`Judgment` tuple itself, and a
+    proposer's completions by the :data:`Completion` tuple, (backend id,
+    request).  The sha256 :meth:`key` is computed only to write a row to the
+    store and to look up rows loaded from the store, and at most once per
+    new judgment.  A judgment row holds its ``value``, a completion row its
+    ``completions``.  Store rows are checked once loaded: a row without a
+    ``key``, with a loaded value other than 0, 0.5 or 1, or with
+    completions that are not a list of strings, raises
+    :class:`CorruptStoreError`.
 
     The store is created when the cache is built, so a store that cannot be
-    written fails before any judgment is sent.  :meth:`put` only records a
-    new judgment in memory and queues its row; :meth:`flush` appends the
-    queued rows in one write, and :meth:`Verifier.estimate_ca` flushes
-    before it returns, so each description's rows reach the store together,
-    and a process killed in the middle of a description loses only that
-    description's new rows.  No file is held open between writes.
+    written fails before any request is sent.  :meth:`put` and
+    :meth:`put_completions` only record new results in memory and queue
+    their rows; :meth:`flush` appends the queued rows in one write.
+    ``propose`` flushes its completions, and :meth:`Verifier.estimate_ca`
+    flushes before it returns, so each description's rows reach the store
+    together, and a process killed in the middle of a description loses
+    only that description's new rows.  No file is held open between writes.
 
     A process holds the rows of one store, the one opened last, and
     decodes each row once: opening that store again reads only the rows
-    appended since.  A store rewritten, truncated or replaced since it was
-    read is read again from its start, and opening another store releases
-    the rows held.  So only a process that opens a store more than once,
-    as ``run_bench`` does per task, gains; a single describe reads its
-    store once either way.
+    appended since, and the rows this process appended itself are taken
+    without reading them back.  A store rewritten, truncated or replaced
+    since it was read is read again from its start, and opening another
+    store releases the rows held.  So only a process that opens a store
+    more than once, as ``run_bench`` does per task, gains; a single
+    describe reads its store once either way.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
+        self._memo: dict[Judgment, float] = {}
+        self._completion_memo: dict[Completion, list[str]] = {}
+        self._index: _StoreIndex | None = None
+        self._stored: dict[str, float] = {}
+        self._stored_completions: dict[str, list[str]] = {}
         if self.path is not None:
             open(self.path, "ab").close()  # creates it; an unwritable path fails before judging
-        self._memo: dict[Judgment, float] = {}
-        self._stored: dict[str, float] = {} if self.path is None else _read_store(self.path)
+            self._index = _read_store(self.path)
+            self._stored, self._stored_completions = self._index.values, self._index.completions
         self._lock = threading.Lock()
         self._pending: list[dict] = []  # rows not yet written to the store
         self._write_lock = threading.Lock()
 
     @staticmethod
-    def key(backend_id: str, s: str, a_text: str, b_text: str) -> str:
-        # The bytes of json.dumps([backend_id, s, a_text, b_text], ensure_ascii=False),
-        # which fix the store's row keys, without building an encoder per call.
-        blob = "[" + ", ".join(map(encode_basestring, (backend_id, s, a_text, b_text))) + "]"
+    def key(*parts: str) -> str:
+        """The row key of the strings ``parts``.
+
+        A judgment's parts are (backend id, description, text A, text B), a
+        completion's (backend id, ``request_hash`` of its request).
+        """
+        # The bytes of json.dumps(list(parts), ensure_ascii=False), which fix
+        # the store's row keys, without building an encoder per call.
+        blob = "[" + ", ".join(map(encode_basestring, parts)) + "]"
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def get(self, judgment: Judgment) -> tuple[float | None, str | None]:
@@ -238,13 +292,35 @@ class JudgmentCache:
                 }
                 self._pending.append(row)
 
+    def get_completions(self, backend_id: str, req: CompletionRequest) -> list[str] | None:
+        """The cached completions of ``req`` sent to the backend ``backend_id``, or None."""
+        found = self._completion_memo.get((backend_id, req))
+        if found is None and self._stored_completions:
+            found = self._stored_completions.get(self.key(backend_id, request_hash(req)))
+        return found
+
+    def put_completions(
+        self, backend_id: str, req: CompletionRequest, completions: list[str]
+    ) -> None:
+        with self._lock:
+            if (backend_id, req) in self._completion_memo:
+                return
+            self._completion_memo[backend_id, req] = completions
+            if self.path is None:
+                return
+            key = self.key(backend_id, request_hash(req))
+            if key not in self._stored_completions:
+                self._pending.append({"key": key, "completions": completions})
+
     def flush(self) -> None:
         """Append the rows queued since the last flush to the store, in one write."""
         with self._write_lock:  # one append at a time, in the order rows were taken
             with self._lock:
                 rows, self._pending = self._pending, []
             if rows:
-                append_jsonl(self.path, rows)
+                written = append_jsonl(self.path, rows)
+                if written is not None:
+                    _index_appended(self._index, rows, *written)
 
     def close(self) -> None:
         """Write the rows still queued: those of :meth:`Verifier.judge` calls made alone."""

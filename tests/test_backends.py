@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import socket
 import sys
@@ -179,6 +181,31 @@ def test_request_hash_stable_and_sensitive():
     assert len(request_hash(req)) == 64
     assert request_hash(req) != request_hash(CompletionRequest(prompt="q", n=2, temperature=0.5))
     assert request_hash(req) != request_hash(CompletionRequest(prompt="p", n=3, temperature=0.5))
+
+
+_texts = st.text(max_size=40)
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(
+    req=st.one_of(
+        st.builds(
+            CompletionRequest,
+            prompt=_texts,
+            n=st.integers(1, 5),
+            max_tokens=st.integers(1, 64),
+            temperature=st.floats(0, 2),
+            stop=st.tuples(_texts),
+            forbidden_tokens=st.tuples(_texts, _texts),
+        ),
+        st.builds(JudgmentRequest, question=_texts.filter(bool), context=_texts.filter(bool)),
+    )
+)
+def test_request_hash_is_sha256_of_canonical_json_dumps(req):
+    kind = "complete" if isinstance(req, CompletionRequest) else "judge"
+    payload = {"kind": kind, **dataclasses.asdict(req)}
+    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    assert request_hash(req) == hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def test_request_hash_distinguishes_kinds():

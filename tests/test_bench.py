@@ -144,12 +144,19 @@ def test_run_bench_reopens_its_store_without_decoding_a_row_twice(
 ):
     judge_calls = []
     judge = RuleBackend.judge
+    complete_calls = []
+    complete = RuleBackend.complete
 
     def counting_judge(self, req):
         judge_calls.append(req)
         return judge(self, req)
 
+    def counting_complete(self, req):
+        complete_calls.append(req)
+        return complete(self, req)
+
     monkeypatch.setattr(RuleBackend, "judge", counting_judge)
+    monkeypatch.setattr(RuleBackend, "complete", counting_complete)
     # The first task's gold ranks second, so at top-1 its gold CA is estimated
     # through the store too.
     tasks = [generate_task("question", 0.55, 0.45, 40, seed=2)]
@@ -158,12 +165,14 @@ def test_run_bench_reopens_its_store_without_decoding_a_row_twice(
 
     cold = run_bench(tasks, config).to_dict()
     assert cold["tasks"][0]["gold_rank"] is None
-    assert judge_calls
+    assert judge_calls and complete_calls
     judge_calls.clear()
+    complete_calls.clear()
     warm = run_bench(tasks, config).to_dict()
-    assert judge_calls == []
+    assert judge_calls == [] and complete_calls == []
     assert warm == cold
-    assert decoded and set(decoded.values()) == {1}
+    # Every row is this process's own append, taken without being read back.
+    assert not decoded
 
 
 def test_run_bench_report_serializes():

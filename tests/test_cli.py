@@ -143,6 +143,8 @@ def test_replay_miss_exits_3(zebra_task_files, tmp_path, capsys):
         ("--verifier-backend", {"kind": "judge", "response": "yes"}),
         ("--verifier-backend", {"kind": "judge", "hash": "0f3a", "response": ["yes"]}),
         ("--proposer-backend", {"kind": "complete", "hash": "0f3a", "response": "is longer"}),
+        ("--cache", {"key": "0f3a", "completions": "is longer"}),
+        ("--cache", {"key": "0f3a", "completions": ["is longer", 1]}),
     ],
 )
 def test_unusable_store_row_exits_2(zebra_task_files, tmp_path, capsys, flag, row):
@@ -153,6 +155,35 @@ def test_unusable_store_row_exits_2(zebra_task_files, tmp_path, capsys, flag, ro
     rc = main(["describe", "--d0", str(d0), "--d1", str(d1), flag, value])
     assert rc == 2
     assert f"{store}:1: a row needs" in capsys.readouterr().err
+
+
+def test_warm_describe_with_cache_sends_no_request(
+    zebra_task_files, tmp_path, capsys, monkeypatch
+):
+    requests = []
+    complete, judge = RuleBackend.complete, RuleBackend.judge
+
+    def counting_complete(self, req):
+        requests.append(req)
+        return complete(self, req)
+
+    def counting_judge(self, req):
+        requests.append(req)
+        return judge(self, req)
+
+    monkeypatch.setattr(RuleBackend, "complete", counting_complete)
+    monkeypatch.setattr(RuleBackend, "judge", counting_judge)
+    d0, d1 = zebra_task_files
+    out = tmp_path / "report.json"
+    argv = ["describe", "--d0", str(d0), "--d1", str(d1), "--cache", str(tmp_path / "c.jsonl")]
+    argv += ["--out", str(out)]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out, out.read_bytes()
+    assert requests
+    requests.clear()
+    assert main(argv) == 0
+    assert requests == []
+    assert (capsys.readouterr().out, out.read_bytes()) == cold
 
 
 class _AbstainingJudge(RuleBackend):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from distdescribe.backends import RuleBackend, _parse_prompt_groups
 from distdescribe.config import RunConfig
 from distdescribe.corpus import Sample
 from distdescribe.discriminator import train
-from distdescribe.errors import AllCompletionsEmptyError, EmptySampleSetError
+from distdescribe.errors import AllCompletionsEmptyError, EmptySampleSetError, ProviderError
 from distdescribe.proposer import (
     INSTRUCTION,
     SAMPLE_TOKEN_LIMIT,
@@ -25,6 +27,7 @@ from distdescribe.proposer import (
     propose,
     token_estimate,
 )
+from distdescribe.verifier import JudgmentCache
 
 from conftest import make_pair
 
@@ -208,6 +211,47 @@ def test_propose_all_empty_raises():
     disc = train(pair)
     with pytest.raises(AllCompletionsEmptyError):
         propose(disc, _EmptyBackend(), RunConfig())
+
+
+class _CountingComplete(RuleBackend):
+    """Counts the requests sent; raises on the one numbered ``fail_at``, if given."""
+
+    def __init__(self, fail_at=None):
+        self.requests = []
+        self.fail_at = fail_at
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.requests.append(request)
+            fail = len(self.requests) == self.fail_at
+        if fail:
+            raise ProviderError(500, "injected")
+        return super().complete(request)
+
+
+def test_propose_sends_identical_requests_once():
+    # Two samples a side: most of the 30 prompts repeat one another.
+    pair = make_pair(
+        ["Item 0 is ready", "Item 1 is ready"], ["Is item 0 ready?", "Is item 1 ready?"]
+    )
+    backend = _CountingComplete()
+    candidates = propose(train(pair), backend, RunConfig())
+    assert candidates.raw_count == 60
+    assert len(backend.requests) == len(set(backend.requests)) < 30
+
+
+def test_failed_propose_stores_no_completions(tmp_path):
+    store = tmp_path / "c.jsonl"
+    disc = train(_noisy_question_pair())
+    with closing(JudgmentCache(store)) as cache, pytest.raises(ProviderError):
+        propose(disc, _CountingComplete(fail_at=3), RunConfig(), cache)
+    assert store.read_bytes() == b""
+
+    backend = _CountingComplete()
+    with closing(JudgmentCache(store)) as cache:
+        propose(disc, backend, RunConfig(), cache)
+    assert len(backend.requests) == 30
 
 
 def test_first_prompt_is_prefix_of_run():

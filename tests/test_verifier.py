@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distdescribe import verifier as verifier_module
-from distdescribe.backends import Backend, RuleBackend, append_jsonl
+from distdescribe.backends import Backend, CompletionRequest, RuleBackend, append_jsonl
 from distdescribe.bench import default_suite, generate_task, run_bench
 from distdescribe.config import RunConfig
 from distdescribe.corpus import DistributionPair, Sample
@@ -377,18 +378,42 @@ def test_reopened_store_decodes_each_row_once(tmp_path, decoded):
 
 def test_rows_appended_between_opens_are_hits(tmp_path, decoded):
     path = tmp_path / "c.jsonl"
-    path.write_text(_store_line("a?", "b", 1.0), encoding="utf-8")
+    first, other = _store_line("a?", "b", 1.0), _store_line("c?", "d", 1.0)
+    path.write_text(first, encoding="utf-8")
     assert _stored(JudgmentCache(path), "b", "a?") is None
 
     _judge_into(path, _sample("b", "y:0"), _sample("a?", "x:0"))  # another cache appends
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(_store_line("c?", "d", 1.0))  # and so does something else
+        fh.write(other)  # and so does something else
 
     cache = JudgmentCache(path)
     assert _stored(cache, "a?", "b") == 1.0
     assert _stored(cache, "b", "a?") == 0.0
     assert _stored(cache, "c?", "d") == 1.0
-    assert len(decoded) == 3 and set(decoded.values()) == {1}
+    # The row this process appended is taken without being read back.
+    assert decoded == Counter([first.encode(), other.encode()])
+
+
+def test_own_appends_are_not_read_back_but_other_writers_rows_are(tmp_path, decoded):
+    path = tmp_path / "c.jsonl"
+    a, b = _sample("a?", "x:0"), _sample("b", "y:0")
+    _judge_into(path, a, b)
+    assert _stored(JudgmentCache(path), a.text, b.text) == 1.0
+    assert not decoded
+
+    # Another writer appends after this process's last read and before its flush.
+    cache = JudgmentCache(path)
+    assert Verifier(RuleBackend(), cache).judge(QUESTION, b, a) == 0.0
+    other = _store_line("c?", "d", 1.0)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(other)
+    cache.close()
+    own = path.read_text(encoding="utf-8").splitlines(keepends=True)[-1]
+    for _ in range(2):
+        cache = JudgmentCache(path)
+        assert _stored(cache, b.text, a.text) == 0.0
+        assert _stored(cache, "c?", "d") == 1.0
+    assert decoded == Counter([other.encode(), own.encode()])
 
 
 def _rewrite_same_size(path, text):
@@ -644,8 +669,11 @@ def test_describe_appends_once_per_description_with_new_judgments(tmp_path, appe
     config = RunConfig(n_pairs=20, in_flight=1, cache_path=str(tmp_path / "c.jsonl"))
     verify([top], task.pair, config)  # every judgment of one candidate already stored
     report = describe_pair(task.pair, config)
-    assert len(appends) == 1 + report.candidate_count - 1
-    assert all(len({row["s"] for row in rows}) == 1 for rows in appends)
+    # The proposer's completions, then one append per new description.
+    assert len(appends) == 1 + 1 + report.candidate_count - 1
+    assert all("completions" in row for row in appends[1])
+    judgment_appends = appends[:1] + appends[2:]
+    assert all(len({row["s"] for row in rows}) == 1 for rows in judgment_appends)
     assert sum(map(len, appends)) == len(_rows(tmp_path / "c.jsonl"))
 
 
@@ -706,6 +734,41 @@ def test_threads_judging_and_flushing_write_every_row_once(tmp_path):
     assert keys == {JudgmentCache.key(RuleBackend.id, QUESTION, a.text, b.text) for a, b in pairs}
 
 
+def test_flushes_racing_opens_leave_the_store_index_as_a_full_read(
+    tmp_path, decoded, monkeypatch
+):
+    path = tmp_path / "c.jsonl"
+    cache = JudgmentCache(path)
+    verifier = Verifier(RuleBackend(), cache)
+    pairs = [(_sample(f"a{i}?", f"x:{i}"), _sample(f"b{i}", f"y:{i}")) for i in range(200)]
+
+    def judge_and_flush(chunk):
+        for a, b in chunk:
+            verifier.judge(QUESTION, a, b)
+            cache.flush()
+
+    def reopen():
+        for _ in range(20):
+            JudgmentCache(path)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(judge_and_flush, pairs[i::4]) for i in range(4)]
+            futures += [pool.submit(reopen) for _ in range(4)]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert set(decoded.values()) <= {1}
+    held = JudgmentCache(path)
+    monkeypatch.setattr(verifier_module, "_index", None)  # the next open reads the whole file
+    full = JudgmentCache(path)
+    for a, b in pairs:
+        assert _stored(held, a.text, b.text) == _stored(full, a.text, b.text) == 1.0
+
+
 def test_run_bench_writes_the_same_rows_at_any_in_flight(tmp_path):
     tasks = default_suite(task_count=3, n_per_side=30, seed=5)
     stores = {}
@@ -745,3 +808,40 @@ def test_empty_store_writes_golden_bytes(tmp_path):
     store = tmp_path / "judgments.jsonl"
     _golden_store_run(store)
     assert store.read_bytes() == GOLDEN_JUDGMENTS.read_bytes()
+
+
+def test_store_of_judgment_rows_only_serves_every_judgment(tmp_path):
+    # A store written before completions were cached: the golden judgment rows.
+    lines = GOLDEN_JUDGMENTS.read_bytes().splitlines(keepends=True)
+    judgments = b"".join(line for line in lines if b'"completions"' not in line)
+    completions = b"".join(line for line in lines if b'"completions"' in line)
+    assert judgments and completions
+    store = tmp_path / "judgments.jsonl"
+    store.write_bytes(judgments)
+    backend = _CountingJudge()
+    _golden_store_run(store, backend)
+    assert backend.judge_calls == 0
+    assert store.read_bytes() == judgments + completions
+
+
+def test_completions_miss_on_another_backend_or_any_other_request_field(tmp_path):
+    store = tmp_path / "c.jsonl"
+    req = CompletionRequest(prompt="Group 0:\n1. a\n\nGroup 1:\n1. b?\n\nCompared", n=2)
+    changed = {
+        "prompt": req.prompt + " ",
+        "n": 3,
+        "max_tokens": req.max_tokens + 1,
+        "temperature": 0.0,
+        "stop": ("\n",),
+        "forbidden_tokens": ("group",),
+    }
+    assert set(changed) == {field.name for field in dataclasses.fields(CompletionRequest)}
+    written = JudgmentCache(store)
+    written.put_completions(RuleBackend.id, req, ["is longer", "is shorter"])
+    written.close()
+    for cache in (written, JudgmentCache(store)):  # the memo, then the store
+        assert cache.get_completions(RuleBackend.id, req) == ["is longer", "is shorter"]
+        assert cache.get_completions("http:chat:model", req) is None
+        for field, value in changed.items():
+            other = dataclasses.replace(req, **{field: value})
+            assert cache.get_completions(RuleBackend.id, other) is None
