@@ -5,6 +5,9 @@ verifies each one on sampled cross-distribution pairs, and ranks the
 survivors by estimated classification accuracy.
 """
 
+# Before the submodule imports: the HTTP backend's User-Agent names it.
+__version__ = "0.1.0"
+
 from .backends import (
     Backend,
     CompletionRequest,
@@ -74,5 +77,3 @@ from .verifier import (
     JudgmentCache,
     Verifier,
 )
-
-__version__ = "0.1.0"

@@ -16,24 +16,31 @@ Judgments and completions are memoized above this layer, by
 
 from __future__ import annotations
 
+import base64
 import functools
 import hashlib
+import http.client
 import json
 import os
 import re
+import select
+import ssl
 import threading
 import time
+import urllib.parse
+import urllib.request
 import warnings
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
-import requests
-
+from . import __version__
 from .config import EndpointConfig
 from .errors import (
     AuthError,
+    ConfigError,
     CorruptStoreError,
     ProviderError,
     RateLimitedError,
@@ -189,66 +196,155 @@ class RuleBackend(Backend):
 # ---------------------------------------------------------------------------
 # HTTP backend
 
+USER_AGENT = f"distdescribe/{__version__}"
+
+
 def _excerpt(text: str, limit: int = 200) -> str:
     return " ".join(text.split())[:limit]
 
 
+def _readable(sock) -> bool:
+    """Whether ``sock`` has bytes or an end of stream waiting, without blocking."""
+    if hasattr(select, "poll"):  # unlike select(), no limit on descriptor numbers
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    for connection in connections:
+        connection.close()
+    connections.clear()
+
+
 class HttpBackend(Backend):
-    """OpenAI-compatible endpoint speaking either completions or chat."""
+    """OpenAI-compatible endpoint speaking either completions or chat.
+
+    Requests go over a pool of keep-alive ``http.client`` connections to the
+    one host ``base_url`` names, shared by every thread that uses the
+    backend: a request takes the most recently used idle connection, or
+    opens one, and puts it back once the response body is read.  An idle
+    connection the server has closed is dropped before use, so a server's
+    keep-alive timeout costs no failed attempt.  The idle connections are
+    closed when the backend is garbage-collected.
+    """
 
     def __init__(self, endpoint: EndpointConfig):
         self.endpoint = endpoint
         self.id = f"http:{endpoint.route}:{endpoint.model}"
-        # One keep-alive connection pool, shared by every thread of a run.
-        # The proxy and CA-bundle variables are read once, here; with
-        # trust_env off, requests reads no environment and no netrc per
-        # request, so the only credential sent is credential_env's token.
-        session = requests.Session()
-        settings = session.merge_environment_settings(endpoint.base_url, {}, None, None, None)
-        session.trust_env = False
-        session.proxies = settings["proxies"]
-        session.verify = settings["verify"]
-        session.cert = settings["cert"]
-        self._session = session
+        url = urllib.parse.urlsplit(endpoint.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigError(f"base_url must be an http or https URL, got {endpoint.base_url!r}")
+        https = url.scheme == "https"
+        host, port = url.hostname, url.port or (443 if https else 80)
+        netloc = url.netloc.rpartition("@")[2]
+        self._headers = {"Content-Type": "application/json", "User-Agent": USER_AGENT}
+        self._target = url.path.rstrip("/")  # each request's target, before its route
+        self._tunnel: tuple | None = None
+        # The proxy and CA-bundle variables are read once, here.  netrc and
+        # credentials in the URL are never read: the only credential sent is
+        # credential_env's token.
+        proxies = urllib.request.getproxies()
+        proxy = proxies.get(url.scheme) or proxies.get("all")
+        if proxy and not urllib.request.proxy_bypass(netloc):
+            # The proxy itself is spoken to in plain HTTP, as urllib.request does.
+            proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            proxy_headers = {}
+            if proxy_url.username is not None:
+                user = urllib.parse.unquote(proxy_url.username)
+                password = urllib.parse.unquote(proxy_url.password or "")
+                token = base64.b64encode(f"{user}:{password}".encode()).decode()
+                proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+            if https:
+                self._tunnel = (host, port, proxy_headers)  # CONNECT through the proxy
+            else:
+                self._target = f"http://{netloc}{self._target}"  # absolute form
+                self._headers.update(proxy_headers)
+            host, port = proxy_url.hostname, proxy_url.port or 80
+        if https:
+            cafile = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+            context = ssl.create_default_context(cafile=cafile or None)
+            self._connect = functools.partial(
+                http.client.HTTPSConnection, host, port, timeout=endpoint.timeout_s, context=context
+            )
+        else:
+            self._connect = functools.partial(
+                http.client.HTTPConnection, host, port, timeout=endpoint.timeout_s
+            )
+        self._idle: list[http.client.HTTPConnection] = []  # last in, first out
+        self._lock = threading.Lock()
+        weakref.finalize(self, _close_all, self._idle)
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
+    def _checkout(self) -> http.client.HTTPConnection:
+        """An idle connection the server has not closed, else a new one."""
+        while True:
+            with self._lock:
+                if not self._idle:
+                    break
+                connection = self._idle.pop()
+            # Idle, a connection has nothing to read unless the server closed it.
+            if not _readable(connection.sock):
+                return connection
+            connection.close()
+        connection = self._connect()
+        if self._tunnel is not None:
+            connection.set_tunnel(*self._tunnel)
+        return connection
+
+    def _post(self, path: str, data: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """Send one POST and read its whole response: the status and the body."""
+        connection = self._checkout()
+        try:
+            connection.request("POST", self._target + path, data, headers)
+            response = connection.getresponse()
+            payload = response.read()
+        except BaseException:
+            connection.close()  # its state is unknown: never reused
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            with self._lock:
+                self._idle.append(connection)
+        return response.status, payload
+
+    def _request_headers(self) -> dict[str, str]:
         name = self.endpoint.credential_env
-        if name:
-            token = os.environ.get(name)
-            if token is None:
-                raise AuthError(f"credential environment variable {name} is not set")
-            headers["Authorization"] = f"Bearer {token}"
-        return headers
+        if not name:
+            return self._headers
+        token = os.environ.get(name)
+        if token is None:
+            raise AuthError(f"credential environment variable {name} is not set")
+        return {**self._headers, "Authorization": f"Bearer {token}"}
 
     def _request(self, path: str, body: dict) -> dict:
         url = self.endpoint.base_url.rstrip("/") + path
         attempts = self.endpoint.retries
-        headers = self._headers()
+        headers = self._request_headers()
+        data = json.dumps(body).encode()
         for attempt in range(1, attempts + 1):
             try:
-                response = self._session.post(
-                    url, json=body, headers=headers, timeout=self.endpoint.timeout_s
-                )
-            except requests.exceptions.RequestException as exc:
+                status, payload = self._post(path, data, headers)
+            except (OSError, http.client.HTTPException) as exc:  # ssl and timeouts included
                 if attempt < attempts:
                     time.sleep(self._backoff(attempt))
                     continue
-                raise TransportError(f"{url}: {exc}") from exc
-            status = response.status_code
+                raise TransportError(f"{url}: {exc!r}") from exc
             if status == 200:
                 try:
-                    return response.json()
+                    return json.loads(payload)
                 except ValueError:
-                    raise ProviderError(200, _excerpt(response.text)) from None
+                    raise ProviderError(200, _excerpt(payload.decode("utf-8", "replace"))) from None
             if status in (401, 403):
                 raise AuthError(f"{url}: HTTP {status}")
             if (status == 429 or status >= 500) and attempt < attempts:
                 time.sleep(self._backoff(attempt))
                 continue
+            text = payload.decode("utf-8", "replace")
             if status == 429:
-                raise RateLimitedError(attempts, _excerpt(response.text))
-            raise ProviderError(status, _excerpt(response.text))
+                raise RateLimitedError(attempts, _excerpt(text))
+            raise ProviderError(status, _excerpt(text))
 
     def _backoff(self, attempt: int) -> float:
         return self.endpoint.backoff_s * (2 ** (attempt - 1))

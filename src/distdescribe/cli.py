@@ -26,7 +26,9 @@ from .errors import (
 from .pipeline import (
     REPORT_FORMAT,
     Report,
+    check_abstentions,
     describe_pair,
+    judgment_warnings,
     label_clusters,
     report_json,
     report_table,
@@ -148,7 +150,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    (est,), _ = verify([args.hypothesis], _load_pair(args), config)
+    (est,), verifier = verify([args.hypothesis], _load_pair(args), config)
+    for warning in judgment_warnings(verifier):
+        print(f"distdescribe: warning: {warning}", file=sys.stderr)
+    check_abstentions(verifier)
     _write_out(config, est)
     mode = "exhaustive" if est.exhaustive else f"sampled seed={est.seed}"
     sys.stdout.write(

@@ -154,6 +154,26 @@ def verify(
     return estimates, verifier
 
 
+def check_abstentions(verifier: Verifier) -> None:
+    """Abort when more than half the judgments abstained: no CA then means anything."""
+    if verifier.abstain_fraction > 0.5:
+        raise PipelineAbortedError(verifier.abstain_count, verifier.judgment_count)
+
+
+def judgment_warnings(verifier: Verifier) -> list[str]:
+    """Warnings about a run's abstained and failed judgments, if any."""
+    warnings = []
+    if verifier.abstain_count:
+        warnings.append(
+            f"{verifier.abstain_count} of {verifier.judgment_count} judgments abstained"
+        )
+    if verifier.failed_count:
+        warnings.append(
+            f"{verifier.failed_count} judgments failed and were scored as abstentions"
+        )
+    return warnings
+
+
 def describe_pair(
     pair: DistributionPair,
     config: RunConfig,
@@ -178,8 +198,7 @@ def describe_pair(
         descriptions = [h.s for h in hypotheses]
         estimates, verifier = verify(descriptions, pair, config, verifier_backend, cache)
 
-    if verifier.abstain_fraction > 0.5:
-        raise PipelineAbortedError(verifier.abstain_count, verifier.judgment_count)
+    check_abstentions(verifier)
 
     scored = sorted(zip(hypotheses, estimates), key=lambda item: (-item[1].mean, item[0].s))
     ranked = tuple(
@@ -195,14 +214,7 @@ def describe_pair(
     warnings: list[str] = []
     if not any(r.significant for r in ranked):
         warnings.append(NO_SIGNIFICANT_DIFFERENCE)
-    if verifier.abstain_count:
-        warnings.append(
-            f"{verifier.abstain_count} of {verifier.judgment_count} judgments abstained"
-        )
-    if verifier.failed_count:
-        warnings.append(
-            f"{verifier.failed_count} judgments failed and were scored as abstentions"
-        )
+    warnings.extend(judgment_warnings(verifier))
 
     return Report(
         d0_name=pair.d0.name,

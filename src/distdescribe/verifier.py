@@ -19,6 +19,7 @@ import string
 import threading
 import zlib
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -94,7 +95,8 @@ def _usable_row(row: dict) -> bool:
     if "completions" in row:
         typed = is_string_list(row["completions"])
     else:
-        typed = row.get("value") in _VALUES
+        value = row.get("value")
+        typed = value in _VALUES and not isinstance(value, bool)
     return typed and isinstance(row.get("key"), str)
 
 
@@ -155,8 +157,11 @@ def _read_store(path: Path) -> _StoreIndex:
             try:
                 for _, row in read_jsonl(fh, end):
                     _hold(row, fresh, fresh_completions)
-                usable = set(fresh.values()).issubset(_VALUES) and all(
-                    map(is_string_list, fresh_completions.values())
+                usable = (
+                    set(fresh.values()).issubset(_VALUES)
+                    and bool not in set(map(type, fresh.values()))  # True == 1.0
+                    and {str}.issuperset(map(type, chain(fresh, fresh_completions)))
+                    and all(map(is_string_list, fresh_completions.values()))
                 )
             except (KeyError, TypeError):
                 usable = False

@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import json
+import ssl
 import threading
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
 from distdescribe import backends
-from distdescribe.corpus import Corpus, DistributionPair, Sample
+from distdescribe.bench import generate_task
+from distdescribe.corpus import Corpus, DistributionPair, Sample, save_corpus
+
+# A self-signed certificate for the IP address 127.0.0.1 only, valid 2000-2200;
+# its key is tls-key.pem beside it.
+TLS_CERT = Path(__file__).parent / "data" / "tls-cert.pem"
 
 
 def make_corpus(name, texts):
@@ -37,6 +44,17 @@ def jsonl_corpus(tmp_path):
 
 
 @pytest.fixture
+def zebra_task_files(tmp_path):
+    """d0 and d1 of a 60-per-side task whose d1 samples all contain "zebra"."""
+    task = generate_task("zebra", 1.0, 0.0, 60, seed=2)
+    d0 = tmp_path / "d0.jsonl"
+    d1 = tmp_path / "d1.jsonl"
+    save_corpus(task.pair.d0, d0)
+    save_corpus(task.pair.d1, d1)
+    return d0, d1
+
+
+@pytest.fixture
 def decoded(monkeypatch):
     """How often each store line was decoded to a row, by its bytes."""
     counts = Counter()
@@ -59,7 +77,10 @@ class _Script:
         self.behavior = behavior
         self.hits = 0
         self.connections = 0
+        self.closed = 0  # connections the server saw end
         self.bodies = []
+        self.raw_bodies = []
+        self.headers = []  # each request's headers, as a dict
         self.auth_headers = []
         self.lock = threading.Lock()
 
@@ -68,13 +89,15 @@ class _Script:
 def http_server():
     """Start local OpenAI-style endpoints; each is shut down after the test.
 
-    ``start(behavior, keep_alive_s=None)`` returns the ``/v1`` base URL and
+    ``start(behavior, keep_alive_s=None, tls=False)`` returns the ``/v1`` base URL and
     the endpoint's ``_Script``; ``behavior(path, body)`` answers each POST
-    with ``(status, payload)``, payload a JSON-able object or raw bytes.
+    with ``(status, payload)``, payload a JSON-able object or raw bytes, or
+    with ``(status, payload, headers)`` to send extra response headers.
+    With ``tls``, the endpoint speaks https with ``TLS_CERT``.
     """
     servers = []
 
-    def start(behavior, keep_alive_s=None):
+    def start(behavior, keep_alive_s=None, tls=False):
         # With keep_alive_s: HTTP/1.1, and a connection idle that long is closed.
         script = _Script(behavior)
 
@@ -91,18 +114,28 @@ def http_server():
                 with script.lock:
                     script.connections += 1
 
+            def finish(self):
+                super().finish()
+                with script.lock:
+                    script.closed += 1
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
-                body = json.loads(self.rfile.read(length) or b"{}")
+                raw = self.rfile.read(length)
+                body = json.loads(raw or b"{}")
                 with script.lock:
                     script.hits += 1
                     script.bodies.append(body)
+                    script.raw_bodies.append(raw)
+                    script.headers.append(dict(self.headers))
                     script.auth_headers.append(self.headers.get("Authorization"))
-                status, payload = script.behavior(self.path, body)
+                status, payload, *extra = script.behavior(self.path, body)
                 data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                for name, value in (extra[0] if extra else {}).items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)
 
@@ -110,12 +143,16 @@ def http_server():
                 pass
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        if tls:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(TLS_CERT, TLS_CERT.with_name("tls-key.pem"))
+            server.socket = context.wrap_socket(server.socket, server_side=True)
         # A short poll keeps shutdown() from waiting out the default 0.5 s.
         threading.Thread(
             target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         ).start()
         servers.append(server)
-        url = f"http://127.0.0.1:{server.server_address[1]}/v1"
+        url = f"{'https' if tls else 'http'}://127.0.0.1:{server.server_address[1]}/v1"
         return url, script
 
     yield start

@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import base64
 import dataclasses
+import gc
 import hashlib
 import json
+import os
 import socket
+import socketserver
+import struct
+import subprocess
 import sys
 import threading
 import time
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distdescribe import __version__
 from distdescribe.backends import (
     SCORE_MEMO_SIZE,
     CompletionRequest,
@@ -28,10 +37,12 @@ from distdescribe.backends import (
     one_line,
     request_hash,
 )
-from distdescribe.config import EndpointConfig
+from distdescribe.cli import main
+from distdescribe.config import CONFIG_FORMAT, EndpointConfig
 from distdescribe.corpus import Sample
 from distdescribe.errors import (
     AuthError,
+    ConfigError,
     CorruptStoreError,
     ProviderError,
     RateLimitedError,
@@ -42,6 +53,8 @@ from distdescribe.errors import (
 from distdescribe.predicates import PREDICATES
 from distdescribe.proposer import build_prompt
 from distdescribe.verifier import ABSTAIN, Verifier
+
+from conftest import TLS_CERT
 
 QUESTION_PROMPT = (
     "Group 0:\n"
@@ -352,6 +365,10 @@ def test_http_request_body(http_server, route, kind, path, expected):
         backend.judge(_JREQ_BODY)
     (body,) = script.bodies
     assert list(body.items()) == list(expected.items())  # keys in order, too
+    # The very bytes json.dumps writes with its default separators.
+    assert script.raw_bodies == [json.dumps(expected).encode()]
+    assert script.headers[0]["Content-Type"] == "application/json"
+    assert script.headers[0]["User-Agent"] == f"distdescribe/{__version__}"
     assert paths == [path]
 
 
@@ -435,6 +452,12 @@ def test_http_malformed_success_body(http_server):
     backend = HttpBackend(_endpoint(url))
     with pytest.raises(ProviderError):
         backend.complete(CompletionRequest(prompt="p"))
+
+
+@pytest.mark.parametrize("base_url", ["localhost:8000/v1", "ftp://example/v1", "http:///v1"])
+def test_http_base_url_must_name_an_http_host(base_url):
+    with pytest.raises(ConfigError, match="base_url"):
+        HttpBackend(_endpoint(base_url))
 
 
 def _dead_port():
@@ -547,6 +570,156 @@ def test_http_reconnects_after_server_drops_idle_connection(http_server):
     assert time.perf_counter() - started < 1.0  # no backoff sleep
     assert script.hits == 2
     assert script.connections == 2
+
+
+def test_http_collected_backend_closes_its_idle_connections(http_server):
+    url, script = http_server(_echo_prompt, keep_alive_s=2.0)
+    backend = HttpBackend(_endpoint(url))
+    assert backend.complete(CompletionRequest(prompt="p")) == ["p"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        del backend
+        gc.collect()
+    assert caught == []
+    deadline = time.monotonic() + 1.0  # the server itself would wait 2 s
+    while script.closed == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert (script.connections, script.closed) == (1, 1)
+
+
+def test_http_connection_close_response_is_not_reused(http_server):
+    def behavior(path, body):
+        headers = {"Connection": "close"} if body["prompt"] == "first" else {}
+        return 200, {"choices": [{"text": body["prompt"]}]}, headers
+
+    url, script = http_server(behavior, keep_alive_s=2.0)
+    backend = HttpBackend(_endpoint(url, backoff_s=5.0))
+    for prompt in ("first", "second", "third"):
+        assert backend.complete(CompletionRequest(prompt=prompt)) == [prompt]
+    assert script.hits == 3
+    assert script.connections == 2  # a new one for "second", kept for "third"
+
+
+def test_http_proxy_receives_absolute_form_target(monkeypatch, http_server):
+    targets = []
+
+    def proxy(path, body):
+        targets.append(path)
+        return 200, _completion_payload(body)
+
+    proxy_url, script = http_server(proxy)
+    for name in _PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("http_proxy", proxy_url.replace("//", "//someone:p%40ss@").removesuffix("/v1"))
+    monkeypatch.setenv("HTTPS_PROXY", proxy_url.removesuffix("/v1"))
+    target = f"127.0.0.1:{_dead_port()}"  # reachable only through the proxy
+    backend = HttpBackend(_endpoint(f"http://{target}/v1"))
+    tunneled = HttpBackend(_endpoint(f"https://{target}/v1", retries=1))
+    for name in _PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)  # read at construction only
+    assert backend.complete(CompletionRequest(prompt="p"))
+    assert targets == [f"http://{target}/v1/completions"]
+    assert script.headers[0]["Host"] == target
+    credentials = base64.b64encode(b"someone:p@ss").decode()
+    assert script.headers[0]["Proxy-Authorization"] == f"Basic {credentials}"
+    # An https URL asks the proxy for a CONNECT tunnel, which this one refuses.
+    with pytest.raises(TransportError, match="Tunnel connection failed: 501"):
+        tunneled.complete(CompletionRequest(prompt="p"))
+    assert script.hits == 1
+
+
+@pytest.fixture
+def tcp_server():
+    """Start raw TCP endpoints: ``start(handle)`` runs ``handle(socket)`` per
+    connection and returns the ``/v1`` base URL and a list of the connections."""
+    servers = []
+
+    def start(handle):
+        accepted = []
+
+        class Handler(socketserver.BaseRequestHandler):
+            def handle(self):
+                accepted.append(self.client_address)
+                handle(self.request)
+
+        server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+        server.daemon_threads = True
+        threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        ).start()
+        servers.append(server)
+        return f"http://127.0.0.1:{server.server_address[1]}/v1", accepted
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def _stall(sock):
+    sock.recv(65536)
+    time.sleep(0.5)  # past the client's timeout
+
+
+def _reset_mid_body(sock):
+    sock.recv(65536)
+    sock.sendall(b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"choices"')
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))  # RST
+
+
+@pytest.mark.parametrize("failure", ["refused", "timeout", "reset"])
+def test_http_transport_failures_retry_then_exit_3(
+    failure, monkeypatch, tcp_server, zebra_task_files, tmp_path, capsys
+):
+    if failure == "refused":
+        url, accepted = f"http://127.0.0.1:{_dead_port()}/v1", None
+    else:
+        url, accepted = tcp_server(_stall if failure == "timeout" else _reset_mid_body)
+    backoffs = []
+    monkeypatch.setattr(HttpBackend, "_backoff", lambda self, attempt: backoffs.append(attempt) or 0)
+    backend = HttpBackend(_endpoint(url, retries=3, timeout_s=0.1))
+    with pytest.raises(TransportError):
+        backend.complete(CompletionRequest(prompt="p"))
+    assert backoffs == [1, 2]  # three attempts
+    if accepted is not None:
+        assert len(accepted) == 3  # each on a new connection
+
+    # The proposer's request fails the same way: a backend error, exit 3.
+    conf = tmp_path / "run.conf"
+    settings = ["proposer.timeout_s = 0.1", "sets_per_percentile = 1", "percentiles = 100"]
+    conf.write_text("\n".join([CONFIG_FORMAT, *settings]) + "\n", encoding="utf-8")
+    d0, d1 = zebra_task_files
+    argv = ["describe", "--d0", str(d0), "--d1", str(d1), "--config", str(conf)]
+    rc = main(argv + ["--proposer-backend", "http", "--proposer-base-url", url])
+    assert rc == 3
+    assert "backend error" in capsys.readouterr().err
+
+
+def test_https_verifies_the_certificate_and_its_host(monkeypatch, http_server):
+    url, script = http_server(_echo_prompt, tls=True)
+    for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE", "SSL_CERT_FILE", "SSL_CERT_DIR"):
+        monkeypatch.delenv(name, raising=False)
+    untrusted = HttpBackend(_endpoint(url, retries=1))
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(TLS_CERT))
+    trusted = HttpBackend(_endpoint(url))
+    # The certificate names 127.0.0.1, not localhost.
+    wrong_host = HttpBackend(_endpoint(url.replace("127.0.0.1", "localhost"), retries=1))
+    with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+        untrusted.complete(CompletionRequest(prompt="p"))
+    assert trusted.complete(CompletionRequest(prompt="p")) == ["p"]
+    with pytest.raises(TransportError, match="mismatch"):
+        wrong_host.complete(CompletionRequest(prompt="p"))
+    assert script.hits == 1
+
+
+def test_import_loads_no_requests_or_urllib3():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, distdescribe; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 # ------------------------------------------------------------ record / replay

@@ -25,16 +25,6 @@ from distdescribe.pipeline import describe_pair
 from conftest import write_jsonl
 
 
-@pytest.fixture
-def zebra_task_files(tmp_path):
-    task = generate_task("zebra", 1.0, 0.0, 60, seed=2)
-    d0 = tmp_path / "d0.jsonl"
-    d1 = tmp_path / "d1.jsonl"
-    save_corpus(task.pair.d0, d0)
-    save_corpus(task.pair.d1, d1)
-    return d0, d1
-
-
 def test_describe_writes_report_and_table(zebra_task_files, tmp_path, capsys):
     d0, d1 = zebra_task_files
     out = tmp_path / "report.json"
@@ -258,6 +248,32 @@ def test_verify_sampled_output(zebra_task_files, capsys):
     out = capsys.readouterr().out
     assert "sampled seed=0" in out
     assert "n_pairs=400" in out
+
+
+def test_verify_of_an_unparseable_description_exits_4(zebra_task_files, capsys):
+    d0, d1 = zebra_task_files
+    rc = main(["verify", "--hypothesis", "", "--d0", str(d0), "--d1", str(d1)])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no CA printed
+    assert "warning: 800 of 800 judgments abstained" in captured.err
+    assert "aborting" in captured.err
+
+
+def test_verify_against_a_failing_endpoint_exits_4(zebra_task_files, tmp_path, capsys, http_server):
+    url, script = http_server(lambda path, body: (500, {"error": "down"}))
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{CONFIG_FORMAT}\nverifier.backoff_s = 0.001\n", encoding="utf-8")
+    d0, d1 = zebra_task_files
+    argv = ["verify", "--hypothesis", "contains the word 'zebra'", "--d0", str(d0), "--d1", str(d1)]
+    argv += ["--verifier-backend", "http", "--verifier-base-url", url, "--n-pairs", "2"]
+    rc = main(argv + ["--config", str(conf)])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "warning: 4 judgments failed and were scored as abstentions" in captured.err
+    assert "4 of 4 judgments abstained" in captured.err
+    assert script.hits == 4 * 3  # each judgment tried retries = 3 times
 
 
 def test_verify_cache_writes_store_then_serves_repeat(

@@ -350,6 +350,22 @@ def test_judgment_cache_rejects_unusable_row(tmp_path, row):
         JudgmentCache(path)
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"key": 5, "value": 1},
+        {"key": "x", "value": True},  # True == 1.0
+        {"key": "x", "value": False},
+        {"key": 5, "completions": ["contains a question mark"]},
+    ],
+)
+def test_store_of_one_wrong_typed_row_is_corrupt(tmp_path, row):
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(CorruptStoreError, match=r"c\.jsonl:1: a row needs"):
+        JudgmentCache(path)
+
+
 def _store_line(a_text, b_text, value):
     """One store row, as the line a cache appends, judging ``QUESTION`` on (a_text, b_text)."""
     row = {
