@@ -608,10 +608,11 @@ def test_http_proxy_receives_absolute_form_target(monkeypatch, http_server):
         return 200, _completion_payload(body)
 
     proxy_url, script = http_server(proxy)
+    proxy_url = proxy_url.removesuffix("/v1")
     for name in _PROXY_VARIABLES:
         monkeypatch.delenv(name, raising=False)
-    monkeypatch.setenv("http_proxy", proxy_url.replace("//", "//someone:p%40ss@").removesuffix("/v1"))
-    monkeypatch.setenv("HTTPS_PROXY", proxy_url.removesuffix("/v1"))
+    monkeypatch.setenv("http_proxy", proxy_url.replace("//", "//someone:p%40ss@"))
+    monkeypatch.setenv("HTTPS_PROXY", proxy_url)
     target = f"127.0.0.1:{_dead_port()}"  # reachable only through the proxy
     backend = HttpBackend(_endpoint(f"http://{target}/v1"))
     tunneled = HttpBackend(_endpoint(f"https://{target}/v1", retries=1))
@@ -675,8 +676,8 @@ def test_http_transport_failures_retry_then_exit_3(
         url, accepted = f"http://127.0.0.1:{_dead_port()}/v1", None
     else:
         url, accepted = tcp_server(_stall if failure == "timeout" else _reset_mid_body)
-    backoffs = []
-    monkeypatch.setattr(HttpBackend, "_backoff", lambda self, attempt: backoffs.append(attempt) or 0)
+    backoffs = []  # the attempts followed by a backoff, which is skipped
+    monkeypatch.setattr(HttpBackend, "_backoff", lambda _, attempt: backoffs.append(attempt) or 0)
     backend = HttpBackend(_endpoint(url, retries=3, timeout_s=0.1))
     with pytest.raises(TransportError):
         backend.complete(CompletionRequest(prompt="p"))
@@ -714,7 +715,8 @@ def test_https_verifies_the_certificate_and_its_host(monkeypatch, http_server):
 
 def test_import_loads_no_requests_or_urllib3():
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
     code = "import sys, distdescribe; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
