@@ -8,7 +8,6 @@ labeled dataset for shortcut features separating its classes.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -135,22 +134,24 @@ def verify(
     """Each description's CA on the run's seeded pairs, in order, and the verifier.
 
     The one place a run verifies: through the config's verifier backend unless
-    one is passed, the run's judgment cache, and ``in_flight`` workers.  When
-    no cache is passed, it opens the config's own and closes it on return.
+    one is passed, and the run's judgment cache.  Every judgment is looked up
+    first; the distinct misses of all descriptions share one queue drained by
+    up to ``in_flight`` workers.  When no cache is passed, it opens the
+    config's own and closes it on return.
     """
     if cache is None:
         with closing(JudgmentCache(config.cache_path)) as cache:
             return verify(descriptions, pair, config, backend, cache)
     if backend is None:
         backend = make_backend(config.verifier_backend, config.verifier_endpoint)
-    pair_seed = config.effective_pair_seed
     verifier = Verifier(backend, cache)
-
-    def score(s: str) -> CAEstimate:
-        return verifier.estimate_ca(s, pair, n_pairs=config.n_pairs, seed=pair_seed)
-
-    with ThreadPoolExecutor(max_workers=config.in_flight) as pool:
-        estimates = list(pool.map(score, descriptions))
+    estimates = verifier.estimate_cas(
+        descriptions,
+        pair,
+        n_pairs=config.n_pairs,
+        seed=config.effective_pair_seed,
+        in_flight=config.in_flight,
+    )
     return estimates, verifier
 
 

@@ -18,10 +18,12 @@ import os
 import string
 import threading
 import zlib
+from collections import deque
 from dataclasses import asdict, dataclass, replace
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,6 +50,8 @@ _VALUES = (0.0, ABSTAIN, 1.0)
 Judgment = tuple[str, str, str, str]
 # (backend id, request): what one proposer completion request asks.
 Completion = tuple[str, CompletionRequest]
+# (judgment, (sample A, sample B), row key or None, answer, value): one new judgment.
+NewJudgment = tuple[Judgment, tuple[Sample, Sample], str | None, str, float]
 
 
 def build_question(s: str, a: Sample, b: Sample) -> JudgmentRequest:
@@ -205,7 +209,9 @@ class JudgmentCache:
     proposer's completions by the :data:`Completion` tuple, (backend id,
     request).  The sha256 :meth:`key` is computed only to write a row to the
     store and to look up rows loaded from the store, and at most once per
-    new judgment.  A judgment row holds its ``value``, a completion row its
+    new judgment.  :meth:`lookup` builds the keys of many judgments from
+    each text's JSON encoding, computed once per call, with the bytes
+    :meth:`key` hashes.  A judgment row holds its ``value``, a completion row its
     ``completions``.  Store rows are checked once loaded: a row without a
     ``key``, with a loaded value other than 0, 0.5 or 1, or with
     completions that are not a list of strings, raises
@@ -215,10 +221,11 @@ class JudgmentCache:
     written fails before any request is sent.  :meth:`put` and
     :meth:`put_completions` only record new results in memory and queue
     their rows; :meth:`flush` appends the queued rows in one write.
-    ``propose`` flushes its completions, and :meth:`Verifier.estimate_ca`
-    flushes before it returns, so each description's rows reach the store
-    together, and a process killed in the middle of a description loses
-    only that description's new rows.  No file is held open between writes.
+    ``propose`` flushes its completions, and :meth:`Verifier.estimate_cas`
+    flushes each description's rows once its last new judgment is answered,
+    so each description's rows reach the store together, and a process
+    killed while descriptions are being judged loses only their new rows.
+    No file is held open between writes.
 
     A process holds the rows of one store, the one opened last, and
     decodes each row once: opening that store again reads only the rows
@@ -257,45 +264,48 @@ class JudgmentCache:
         blob = "[" + ", ".join(map(encode_basestring, parts)) + "]"
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def get(self, judgment: Judgment) -> tuple[float | None, str | None]:
-        """The cached value or None, and the row key if this lookup computed it.
+    def lookup(
+        self, backend_id: str, descriptions: Sequence[str], texts: Sequence[tuple[str, str]]
+    ) -> Iterator[tuple[list[float | None], list[str] | None]]:
+        """Per description, the cached value of each (text A, text B) judgment or None.
 
-        Pass the key on to :meth:`put`, so a new judgment is hashed once.
+        Each is yielded with the judgments' row keys, or None when no store
+        rows are loaded: then nothing is hashed.  Pass a new judgment's key
+        on to :meth:`put`, so it is hashed once.
         """
         # Single dict reads are atomic; only put() needs the lock.
-        value = self._memo.get(judgment)
-        if value is not None or not self._stored:
-            return value, None
-        key = self.key(*judgment)
-        return self._stored.get(key), key
+        memo, stored = self._memo, self._stored
+        keys = _row_keys(backend_id, descriptions, texts) if stored else repeat(None)
+        for s, row_keys in zip(descriptions, keys):
+            if memo:
+                values = [memo.get((backend_id, s, a, b)) for a, b in texts]
+            else:
+                values = [None] * len(texts)
+            if row_keys is not None:
+                values = [stored.get(k) if v is None else v for v, k in zip(values, row_keys)]
+            yield values, row_keys
 
-    def put(
-        self,
-        judgment: Judgment,
-        key: str | None,
-        a_id: str,
-        b_id: str,
-        answer: str,
-        value: float,
-    ) -> None:
+    def put(self, new: Iterable[NewJudgment]) -> None:
+        """Record new judgments and queue their store rows."""
         with self._lock:
-            if judgment in self._memo:
-                return
-            self._memo[judgment] = value
-            if self.path is None:
-                return
-            if key is None:
-                key = self.key(*judgment)
-            if key not in self._stored:
-                row = {
-                    "key": key,
-                    "s": judgment[1],
-                    "a_id": a_id,
-                    "b_id": b_id,
-                    "answer": answer,
-                    "value": value,
-                }
-                self._pending.append(row)
+            for judgment, (a, b), key, answer, value in new:
+                if judgment in self._memo:
+                    continue
+                self._memo[judgment] = value
+                if self.path is None:
+                    continue
+                if key is None:
+                    key = self.key(*judgment)
+                if key not in self._stored:
+                    row = {
+                        "key": key,
+                        "s": judgment[1],
+                        "a_id": a.id,
+                        "b_id": b.id,
+                        "answer": answer,
+                        "value": value,
+                    }
+                    self._pending.append(row)
 
     def get_completions(self, backend_id: str, req: CompletionRequest) -> list[str] | None:
         """The cached completions of ``req`` sent to the backend ``backend_id``, or None."""
@@ -332,6 +342,39 @@ class JudgmentCache:
         self.flush()
 
 
+def _row_keys(
+    backend_id: str, descriptions: Sequence[str], texts: Sequence[tuple[str, str]]
+) -> Iterator[list[str]]:
+    """Per description s, ``JudgmentCache.key(backend_id, s, a, b)`` of each (a, b) in ``texts``.
+
+    Each text and each (backend id, description) prefix is JSON-encoded
+    once, not once per judgment.
+    """
+    encoded = {t: encode_basestring(t).encode("utf-8") for t in set(chain.from_iterable(texts))}
+    tails = [encoded[a] + b", " + encoded[b] + b"]" for a, b in texts]
+    head = "[" + encode_basestring(backend_id) + ", "
+    sha256 = hashlib.sha256
+    for s in descriptions:
+        prefix = (head + encode_basestring(s) + ", ").encode("utf-8")
+        yield [sha256(prefix + tail).hexdigest() for tail in tails]
+
+
+class _Misses:
+    """The distinct judgments a verification found in no cache, in lookup order.
+
+    Parallel lists, so that a miss adds no object that outlives the
+    verification but its judgment tuple, which the cache's memo keeps.
+    """
+
+    __slots__ = ("judgments", "pairs", "keys", "owners")
+
+    def __init__(self) -> None:
+        self.judgments: list[Judgment] = []
+        self.pairs: list[tuple[Sample, Sample]] = []  # (A, B)
+        self.keys: list[str | None] = []  # row keys, where the lookup computed them
+        self.owners: list[int] = []  # the description that needs it first
+
+
 class Verifier:
     """Stateful wrapper tying a judgment backend to a cache and counters."""
 
@@ -343,14 +386,6 @@ class Verifier:
         self.abstain_count = 0
         self.failed_count = 0
 
-    def _count(self, value: float, failed: bool) -> None:
-        with self._lock:
-            self.judgment_count += 1
-            if value == ABSTAIN:
-                self.abstain_count += 1
-            if failed:
-                self.failed_count += 1
-
     @property
     def abstain_fraction(self) -> float:
         with self._lock:
@@ -358,27 +393,150 @@ class Verifier:
                 return 0.0
             return self.abstain_count / self.judgment_count
 
-    def judge(self, s: str, a: Sample, b: Sample) -> float:
-        """One directed judgment of description ``s`` in {0, 0.5, 1}; 0.5 is abstention."""
-        judgment = (self.backend.id, s, a.text, b.text)
-        cached, key = self.cache.get(judgment)
-        if cached is not None:
-            self._count(cached, failed=False)
-            return cached
+    def _look_up(
+        self, descriptions: Sequence[str], directed: Sequence[tuple[Sample, Sample]]
+    ) -> tuple[list[list[float | None]], list[tuple[list[int], list[int]]], _Misses]:
+        """Every judgment of every description looked up in the cache.
 
+        Returns each description's values, None where missed; its gaps, the
+        positions it missed and the miss each one needs; and the misses.
+        """
+        backend_id = self.backend.id
+        texts = [(a.text, b.text) for a, b in directed]
+        found, gaps = [], []
+        misses = _Misses()
+        first: dict[Judgment, int] = {}
+        lookups = self.cache.lookup(backend_id, descriptions, texts)
+        for d, (s, (values, keys)) in enumerate(zip(descriptions, lookups)):
+            positions, needed = [], []
+            for p, value in enumerate(values):
+                if value is None:
+                    judgment = (backend_id, s) + texts[p]
+                    i = first.get(judgment)
+                    if i is None:
+                        i = first[judgment] = len(misses.judgments)
+                        misses.judgments.append(judgment)
+                        misses.pairs.append(directed[p])
+                        misses.keys.append(keys[p] if keys is not None else None)
+                        misses.owners.append(d)
+                    positions.append(p)
+                    needed.append(i)
+            found.append(values)
+            gaps.append((positions, needed))
+        return found, gaps, misses
+
+    def _send(
+        self, misses: _Misses, n_descriptions: int, in_flight: int, flush: bool
+    ) -> tuple[list[str | None], list[float]]:
+        """Send each miss once; return each one's answer, None if it failed, and value.
+
+        The misses go through one FIFO queue drained by ``min(in_flight,
+        misses)`` workers, the calling thread among them: with no miss no
+        thread is started.  A description's new judgments are put into the
+        cache, and with ``flush`` appended to its store in one write, once
+        its last miss is answered.  A :class:`BackendError` leaves a miss
+        failed, and it is not cached.  An :class:`AuthError` or
+        :class:`ReplayMissError` (or any other exception) empties the queue,
+        so no request is sent after it, and propagates once the workers are
+        done.
+        """
+        n = len(misses.judgments)
+        answers: list[str | None] = [None] * n
+        answer_values = [ABSTAIN] * n
+        if not n:
+            return answers, answer_values
+        owned: list[list[int]] = [[] for _ in range(n_descriptions)]
+        for i, d in enumerate(misses.owners):
+            owned[d].append(i)
+        queue = deque(range(n))
+        # deque.pop is atomic: the worker that pops a description's 0 answered its last miss.
+        left = [deque(range(len(mine))) for mine in owned]
+        errors: list[BaseException] = []
+
+        def finish(d: int) -> None:
+            self.cache.put(
+                (misses.judgments[i], misses.pairs[i], misses.keys[i], answers[i], answer_values[i])
+                for i in owned[d]
+                if answers[i] is not None
+            )
+            if flush:
+                self.cache.flush()
+
+        def work() -> None:
+            try:
+                while queue:
+                    try:
+                        i = queue.popleft()
+                    except IndexError:  # another worker took the last one
+                        return
+                    a, b = misses.pairs[i]
+                    try:
+                        answer = self.backend.judge(build_question(misses.judgments[i][1], a, b))
+                    except (AuthError, ReplayMissError):
+                        raise  # configuration mistakes; retrying other pairs cannot help
+                    except BackendError:
+                        # Retry budget exhausted inside the backend: score the
+                        # judgment as an abstention and flag it, but do not
+                        # poison the cache.
+                        pass
+                    else:
+                        answers[i] = answer
+                        answer_values[i] = _answer_value(answer)
+                    d = misses.owners[i]
+                    if left[d].pop() == 0:
+                        finish(d)
+            except BaseException as exc:
+                queue.clear()
+                errors.append(exc)
+
+        workers = [threading.Thread(target=work) for _ in range(min(in_flight, n) - 1)]
+        for worker in workers:
+            worker.start()
         try:
-            answer = self.backend.judge(build_question(s, a, b))
-        except (AuthError, ReplayMissError):
-            raise  # configuration mistakes; retrying other pairs cannot help
-        except BackendError:
-            # Retry budget exhausted inside the backend: score the pair as
-            # an abstention and flag it, but do not poison the cache.
-            self._count(ABSTAIN, failed=True)
-            return ABSTAIN
-        value = _answer_value(answer)
-        self.cache.put(judgment, key, a.id, b.id, answer, value)
-        self._count(value, failed=False)
-        return value
+            work()
+            for worker in workers:
+                worker.join()
+        finally:
+            queue.clear()  # interrupted while joining: no request is sent after it
+        if errors:
+            raise errors[0]
+        return answers, answer_values
+
+    def _judge_all(
+        self,
+        descriptions: Sequence[str],
+        directed: Sequence[tuple[Sample, Sample]],
+        in_flight: int,
+        flush: bool,
+    ) -> list[list[float]]:
+        """Each description's judgment of each directed (A, B) pair, in {0, 0.5, 1}.
+
+        Every judgment is looked up in the cache first, on the calling
+        thread; then each distinct miss is sent once (:meth:`_send`).  A
+        failed miss abstains wherever it is needed and is counted as failed
+        there.
+        """
+        found, gaps, misses = self._look_up(descriptions, directed)
+        answers, answer_values = self._send(misses, len(descriptions), in_flight, flush)
+        abstained = failed = 0
+        for values, (positions, needed) in zip(found, gaps):
+            for p, i in zip(positions, needed):
+                values[p] = answer_values[i]
+                failed += answers[i] is None
+            abstained += values.count(ABSTAIN)
+        with self._lock:
+            self.judgment_count += len(descriptions) * len(directed)
+            self.abstain_count += abstained
+            self.failed_count += failed
+        return found
+
+    def judge(self, s: str, a: Sample, b: Sample) -> float:
+        """One directed judgment of description ``s`` in {0, 0.5, 1}; 0.5 is abstention.
+
+        Its new row is queued, not written: the cache's next flush or close
+        writes it.
+        """
+        return self._judge_all([s], [(a, b)], in_flight=1, flush=False)[0][0]
 
     def h_hat(self, s: str, x1: Sample, x0: Sample) -> float:
         forward = self.judge(s, x1, x0)
@@ -399,6 +557,21 @@ class Verifier:
         instead, which removes Monte-Carlo noise entirely.  The new judgments'
         rows reach the cache's store, in one append, before it returns.
         """
+        return self.estimate_cas([s], pair, n_pairs, seed)[0]
+
+    def estimate_cas(
+        self,
+        descriptions: Sequence[str],
+        pair: DistributionPair,
+        n_pairs: int = 400,
+        seed: int = 0,
+        in_flight: int = 1,
+    ) -> list[CAEstimate]:
+        """:meth:`estimate_ca` of each description, on pairs drawn once for all of them.
+
+        The judgments of every description are looked up first, and the
+        distinct misses sent ``in_flight`` at a time (see :meth:`_judge_all`).
+        """
         if n_pairs < 1:
             raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
         d1, d0 = pair.d1.samples, pair.d0.samples
@@ -410,19 +583,25 @@ class Verifier:
             idx1 = rng.integers(0, len(d1), size=n_pairs)
             idx0 = rng.integers(0, len(d0), size=n_pairs)
             drawn = [(d1[int(i)], d0[int(j)]) for i, j in zip(idx1, idx0)]
+        # Forward and backward judgment of each pair, as h_hat asks them.
+        directed = [order for x1, x0 in drawn for order in ((x1, x0), (x0, x1))]
 
-        values = np.array([self.h_hat(s, x1, x0) for x1, x0 in drawn])
-        self.cache.flush()
-        mean = float(values.mean())
-        if len(values) > 1:
-            stderr = float(values.std(ddof=1) / math.sqrt(len(values)))
-        else:
-            stderr = 0.0
-        return CAEstimate(
-            mean=mean,
-            stderr=stderr,
-            n_pairs=len(values),
-            seed=seed,
-            exhaustive=exhaustive,
-        )
-
+        estimates = []
+        for judged in self._judge_all(descriptions, directed, in_flight, flush=True):
+            both = np.array(judged)
+            values = (both[0::2] - both[1::2] + 1.0) / 2.0
+            mean = float(values.mean())
+            if len(values) > 1:
+                stderr = float(values.std(ddof=1) / math.sqrt(len(values)))
+            else:
+                stderr = 0.0
+            estimates.append(
+                CAEstimate(
+                    mean=mean,
+                    stderr=stderr,
+                    n_pairs=len(values),
+                    seed=seed,
+                    exhaustive=exhaustive,
+                )
+            )
+        return estimates

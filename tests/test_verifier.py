@@ -8,6 +8,8 @@ import json
 import shutil
 import sys
 import threading
+import time
+import types
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -171,20 +173,86 @@ def test_estimate_ca_rejects_n_pairs_below_one(n_pairs):
         Verifier(RuleBackend()).estimate_ca(QUESTION, task.pair, n_pairs=n_pairs)
 
 
-def test_estimate_ca_judges_through_verifier_judge(monkeypatch):
-    """Every judgment passes through ``Verifier.judge``, where a class-level patch counts it."""
-    original = Verifier.judge
-    calls = []
+class _RequestLog(RuleBackend):
+    """Keeps every judgment request it answers, from any thread."""
 
-    def counted_judge(verifier, *args, **kwargs):
-        calls.append(args)
-        return original(verifier, *args, **kwargs)
+    def __init__(self):
+        self.requests = []
+        self._log_lock = threading.Lock()
 
-    monkeypatch.setattr(Verifier, "judge", counted_judge)
+    def judge(self, req):
+        with self._log_lock:
+            self.requests.append(req)
+        return super().judge(req)
+
+
+def _directed_questions(descriptions, pair, n_pairs, seed):
+    """The distinct requests of each description's 2·n_pairs directed judgments, drawn inline."""
+    d1, d0 = pair.d1.samples, pair.d0.samples
+    rng = np.random.default_rng(seed)
+    idx1 = rng.integers(0, len(d1), size=n_pairs)
+    idx0 = rng.integers(0, len(d0), size=n_pairs)
+    return {
+        build_question(s, a, b)
+        for s in descriptions
+        for i, j in zip(idx1, idx0)
+        for a, b in ((d1[int(i)], d0[int(j)]), (d0[int(j)], d1[int(i)]))
+    }
+
+
+def test_estimate_ca_counts_each_judgment_once_and_sends_each_distinct_miss_once():
     task = generate_task("question", 0.8, 0.1, 40, seed=3)
-    est = Verifier(RuleBackend()).estimate_ca(QUESTION, task.pair, n_pairs=300, seed=1)
+    backend = _RequestLog()
+    verifier = Verifier(backend)
+    est = verifier.estimate_ca(QUESTION, task.pair, n_pairs=300, seed=1)
     assert not est.exhaustive
-    assert len(calls) == 2 * 300
+    assert verifier.judgment_count == 2 * 300
+    expected = _directed_questions([QUESTION], task.pair, 300, 1)
+    assert len(expected) < 2 * 300  # some drawn judgments repeat
+    assert Counter(backend.requests) == Counter(expected)
+
+    # Many descriptions at in_flight 2, one of them twice: still one request per distinct miss.
+    descriptions = [QUESTION, "contains a negative statement", QUESTION, "contains numeric digits"]
+    backend = _RequestLog()
+    verifier = Verifier(backend)
+    estimates = verifier.estimate_cas(descriptions, task.pair, n_pairs=300, seed=2, in_flight=2)
+    assert verifier.judgment_count == len(descriptions) * 2 * 300
+    assert Counter(backend.requests) == Counter(_directed_questions(descriptions, task.pair, 300, 2))
+    assert estimates[0] == estimates[2]
+    assert estimates == [
+        Verifier(RuleBackend()).estimate_ca(s, task.pair, n_pairs=300, seed=2) for s in descriptions
+    ]
+
+
+class _AuthFailsOnce(RuleBackend):
+    """Refuses the second request it gets while the first is still being answered."""
+
+    def __init__(self):
+        self.started = []
+        self._log_lock = threading.Lock()
+        self.refused = threading.Event()
+
+    def judge(self, req):
+        with self._log_lock:
+            self.started.append((req, self.refused.is_set()))
+            n = len(self.started)
+        if n == 2:
+            self.refused.set()
+            raise AuthError("bad key")
+        if n == 1:
+            self.refused.wait(timeout=5)
+            time.sleep(0.2)  # the refusal reaches its worker before this answer
+        return super().judge(req)
+
+
+def test_auth_error_at_in_flight_2_stops_the_queue_and_propagates():
+    task = generate_task("question", 0.8, 0.1, 40, seed=3)
+    backend = _AuthFailsOnce()
+    verifier = Verifier(backend)
+    with pytest.raises(AuthError):
+        verifier.estimate_cas([QUESTION, "contains numeric digits"], task.pair, n_pairs=50, in_flight=2)
+    # Two requests were in flight at once; none was sent after the refusal.
+    assert [after for _, after in backend.started] == [False, False]
 
 
 def test_ca_estimate_to_dict():
@@ -380,7 +448,8 @@ def _store_line(a_text, b_text, value):
 
 
 def _stored(cache, a_text, b_text):
-    return cache.get((RuleBackend.id, QUESTION, a_text, b_text))[0]
+    ((values, _),) = cache.lookup(RuleBackend.id, [QUESTION], [(a_text, b_text)])
+    return values[0]
 
 
 def test_reopened_store_decodes_each_row_once(tmp_path, decoded):
@@ -546,34 +615,37 @@ def test_threads_reopening_one_store_decode_each_row_once(tmp_path, decoded):
     assert len(decoded) == 30 and set(decoded.values()) == {1}
 
 
-def test_memo_without_store_never_hashes(monkeypatch):
-    def no_hashing(*args):
-        raise AssertionError("JudgmentCache.key called without a store")
+@pytest.fixture
+def sha256_calls(monkeypatch):
+    """The sha256 hashes the verifier module starts, counted."""
+    calls = []
 
-    monkeypatch.setattr(JudgmentCache, "key", staticmethod(no_hashing))
+    def counting(data=b""):
+        calls.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(verifier_module, "hashlib", types.SimpleNamespace(sha256=counting))
+    return calls
+
+
+def test_memo_without_store_never_hashes(sha256_calls):
     task = generate_task("question", 0.8, 0.1, 40, seed=3)
     verifier = Verifier(RuleBackend(), JudgmentCache())
     est = verifier.estimate_ca(QUESTION, task.pair, n_pairs=300, seed=1)
     assert est.n_pairs == 300
     assert verifier.judgment_count == 600
+    assert sha256_calls == []
 
 
-def test_new_judgment_over_loaded_store_hashes_once(tmp_path, monkeypatch):
+def test_new_judgment_over_loaded_store_hashes_once(tmp_path, sha256_calls):
     path = tmp_path / "c.jsonl"
     a, b = _sample("a?", "x:0"), _sample("b", "y:0")
     _judge_into(path, a, b)
     cache = JudgmentCache(path)  # one row loaded
-    calls = []
-    key = JudgmentCache.key
-
-    def counting_key(*parts):
-        calls.append(parts)
-        return key(*parts)
-
-    monkeypatch.setattr(JudgmentCache, "key", staticmethod(counting_key))
+    sha256_calls.clear()
     assert Verifier(RuleBackend(), cache).judge(QUESTION, b, a) == 0.0
     cache.close()
-    assert len(calls) == 1
+    assert len(sha256_calls) == 1
     assert len(path.read_text(encoding="utf-8").splitlines()) == 2
 
 
@@ -642,6 +714,78 @@ def test_concurrent_misses_write_one_row(tmp_path):
     assert backend.judge_calls == 2
     assert verifier.judgment_count == 2
     assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
+
+class _PairedJudge(RuleBackend):
+    """Answers a judgment only while another one is in flight beside it."""
+
+    def __init__(self):
+        self.barrier = threading.Barrier(2, timeout=5)
+
+    def judge(self, req):
+        self.barrier.wait()
+        return super().judge(req)
+
+
+def test_verify_keeps_both_slots_busy_at_an_odd_candidate_count():
+    # Three descriptions of two judgments each: six requests, always two in flight.
+    pair = make_pair(["plain words, nothing else"], ["is this a question?"])
+    descriptions = [QUESTION, "contains a comma", "contains numeric digits"]
+    config = RunConfig(n_pairs=1, in_flight=2)
+    estimates, verifier = verify(descriptions, pair, config, _PairedJudge())
+    assert verifier.judgment_count == 6
+    assert verifier.failed_count == verifier.abstain_count == 0
+    assert [e.mean for e in estimates] == [1.0, 0.0, 0.5]
+
+
+def test_verify_of_stored_judgments_sends_nothing_and_starts_no_thread(tmp_path, monkeypatch):
+    task = generate_task("question", 0.8, 0.1, 40, seed=3)
+    store = tmp_path / "c.jsonl"
+    descriptions = [QUESTION, "contains a negative statement", "contains numeric digits"]
+    config = RunConfig(n_pairs=50, in_flight=2, cache_path=str(store))
+    cold, _ = verify(descriptions, task.pair, config)
+
+    def no_thread(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    backend = _RequestLog()
+    warm, verifier = verify(descriptions, task.pair, config, backend)
+    assert backend.requests == []
+    assert warm == cold
+    assert verifier.judgment_count == len(descriptions) * 2 * 50
+
+
+def test_many_workers_append_each_description_once(tmp_path, appends):
+    task = generate_task("question", 0.8, 0.1, 40, seed=3)
+    descriptions = [p.description for p in PREDICATES[:12]]
+    reference = Verifier(RuleBackend()).estimate_cas(descriptions, task.pair, n_pairs=60)
+    store = tmp_path / "c.jsonl"
+    verifier = Verifier(RuleBackend(), JudgmentCache(store))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        estimates = verifier.estimate_cas(descriptions, task.pair, n_pairs=60, in_flight=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert estimates == reference
+    # Appends can race into one, but no description's rows are split between two.
+    assert Counter(s for rows in appends for s in {row["s"] for row in rows}) == Counter(descriptions)
+    keys = [row["key"] for row in _rows(store)]
+    assert len(keys) == len(set(keys)) == sum(map(len, appends))
+
+
+def test_a_failed_judgment_is_sent_once_and_every_copy_of_it_abstains():
+    # Two d1 samples of one text: each directed judgment is needed twice.
+    pair = make_pair(["b"], ["a?", "a?"])
+    backend = _FailingBackend()
+    calls = []
+    backend.judge = lambda req: calls.append(req) or _FailingBackend.judge(backend, req)
+    verifier = Verifier(backend)
+    est = verifier.estimate_ca(QUESTION, pair, n_pairs=2)
+    assert est.exhaustive and est.mean == 0.5
+    assert len(calls) == 2
+    assert verifier.judgment_count == verifier.abstain_count == verifier.failed_count == 4
 
 
 @pytest.fixture
@@ -802,6 +946,25 @@ def test_run_bench_writes_the_same_rows_at_any_in_flight(tmp_path):
 def test_judgment_key_is_sha256_of_json_dumps(parts):
     blob = json.dumps(list(parts), ensure_ascii=False).encode("utf-8")
     assert JudgmentCache.key(*parts) == hashlib.sha256(blob).hexdigest()
+
+
+# Quotes, backslashes, non-ASCII, newlines and control characters, often.
+_awkward_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\\n\r\t\x00\x1f\x7f\u2028é€😀 ab'), st.characters()
+    )
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(
+    backend_id=_awkward_text,
+    descriptions=st.lists(_awkward_text, min_size=1, max_size=3),
+    texts=st.lists(st.tuples(_awkward_text, _awkward_text), min_size=1, max_size=4),
+)
+def test_batch_lookup_keys_equal_the_judgment_key(backend_id, descriptions, texts):
+    keys = list(verifier_module._row_keys(backend_id, descriptions, texts))
+    assert keys == [[JudgmentCache.key(backend_id, s, a, b) for a, b in texts] for s in descriptions]
 
 
 def _golden_store_run(store, verifier_backend=None):
