@@ -949,10 +949,8 @@ def test_judgment_key_is_sha256_of_json_dumps(parts):
 
 
 # Quotes, backslashes, non-ASCII, newlines and control characters, often.
-_awkward_text = st.text(
-    alphabet=st.one_of(
-        st.sampled_from('"\\\n\r\t\x00\x1f\x7f\u2028é€😀 ab'), st.characters()
-    )
+_awkward_text = st.one_of(
+    st.text(alphabet='"\\\n\r\t\x00\x1f\x7f\u2028é€😀 ab', max_size=12), st.text(max_size=12)
 )
 
 
