@@ -145,10 +145,28 @@ def _parse_prompt_groups(prompt: str) -> tuple[list[str], list[str]]:
 
 SCORE_MEMO_SIZE = 2048
 
+# (predicate id, text) -> the thread scoring it, while it does.
+_scoring: dict[tuple[str, str], int] = {}
+
 
 @functools.lru_cache(maxsize=SCORE_MEMO_SIZE)
 def _score(predicate_id: str, text: str) -> float:
-    return get_predicate(predicate_id).score(text)
+    # Reached on a miss.  lru_cache does not lock a miss, so threads that miss
+    # one pair at once would each score it.  Instead each claims the pair in
+    # _scoring (dict.setdefault is atomic), waiting while another thread
+    # holds it, and asks the LRU again: the first thread misses again and
+    # computes the score, and the others find it stored.  Hits take no
+    # claim, and a miss no other thread shares never waits.
+    key = (predicate_id, text)
+    me = threading.get_ident()
+    if _scoring.get(key) == me:  # asked again below, and missed: compute it
+        return get_predicate(predicate_id).score(text)
+    while _scoring.setdefault(key, me) != me:
+        time.sleep(1e-6)
+    try:
+        return _score(predicate_id, text)
+    finally:
+        del _scoring[key]
 
 
 class RuleBackend(Backend):
@@ -161,7 +179,8 @@ class RuleBackend(Backend):
     shared by every instance and both methods: ``_score(predicate_id, text)``
     holds the score of the most recent ``SCORE_MEMO_SIZE`` (2,048) distinct
     (predicate, text) pairs, so at worst it keeps 2,048 texts alive, one per
-    entry.  It memoizes scores, not judgments: answers and request counts
+    entry.  Threads that miss one pair at once compute its score once.
+    It memoizes scores, not judgments: answers and request counts
     are the same as without it, and the judgment cache stays
     ``verifier.JudgmentCache``.
     """

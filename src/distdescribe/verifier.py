@@ -202,6 +202,18 @@ def _index_appended(index: _StoreIndex, rows: list[dict], size: int, blob: bytes
             _hold(row, index.values, index.completions)
 
 
+def _key_json(encoded: Iterable[str], opens: bool = True, closes: bool = True) -> str:
+    """The JSON array of the JSON string literals ``encoded``, the text a row key hashes.
+
+    Its bytes are those of ``json.dumps(parts, ensure_ascii=False)``, which
+    fix the store's row keys, without building an encoder per call.  Without
+    ``opens`` the leading "[" is left out, and without ``closes`` the closing
+    "]" becomes the ", " before one more part, so a key's text can be built
+    from a prefix and a tail.
+    """
+    return ("[" if opens else "") + ", ".join(encoded) + ("]" if closes else ", ")
+
+
 class JudgmentCache:
     """In-memory judgment and completion memo with an optional append-only jsonl store.
 
@@ -259,9 +271,7 @@ class JudgmentCache:
         A judgment's parts are (backend id, description, text A, text B), a
         completion's (backend id, ``request_hash`` of its request).
         """
-        # The bytes of json.dumps(list(parts), ensure_ascii=False), which fix
-        # the store's row keys, without building an encoder per call.
-        blob = "[" + ", ".join(map(encode_basestring, parts)) + "]"
+        blob = _key_json(map(encode_basestring, parts))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def lookup(
@@ -350,12 +360,12 @@ def _row_keys(
     Each text and each (backend id, description) prefix is JSON-encoded
     once, not once per judgment.
     """
-    encoded = {t: encode_basestring(t).encode("utf-8") for t in set(chain.from_iterable(texts))}
-    tails = [encoded[a] + b", " + encoded[b] + b"]" for a, b in texts]
-    head = "[" + encode_basestring(backend_id) + ", "
+    encoded = {t: encode_basestring(t) for t in set(chain.from_iterable(texts))}
+    tails = [_key_json((encoded[a], encoded[b]), opens=False).encode("utf-8") for a, b in texts]
+    head = encode_basestring(backend_id)
     sha256 = hashlib.sha256
     for s in descriptions:
-        prefix = (head + encode_basestring(s) + ", ").encode("utf-8")
+        prefix = _key_json((head, encode_basestring(s)), closes=False).encode("utf-8")
         yield [sha256(prefix + tail).hexdigest() for tail in tails]
 
 

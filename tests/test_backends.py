@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distdescribe import __version__
+from distdescribe import __version__, predicates
 from distdescribe.backends import (
     SCORE_MEMO_SIZE,
     CompletionRequest,
@@ -183,6 +183,49 @@ def test_rule_complete_ranks_like_direct_scores(texts1, texts0, warm):
     assert RuleBackend().complete(req) == _reference_ranking(texts0, texts1)
     assert RuleBackend().complete(req) == _reference_ranking(texts0, texts1)
     assert _score.cache_info().currsize <= SCORE_MEMO_SIZE
+
+
+def test_score_missed_by_threads_at_once_is_computed_once(monkeypatch):
+    question = predicates.get_predicate("question")
+    release = threading.Event()
+    calls = []
+
+    def slow_score(text):
+        calls.append(text)
+        release.wait(timeout=5)  # the first caller holds the miss open
+        return question.score(text)
+
+    slow = dataclasses.replace(question, score=slow_score)
+    monkeypatch.setitem(predicates._BY_ID, "question", slow)
+    _score.cache_clear()
+    results = []
+    threads = [
+        threading.Thread(target=lambda: results.append(_score("question", "is it?")))
+        for _ in range(4)
+    ]
+    for thread in threads:
+        thread.start()
+    time.sleep(0.2)  # every thread has missed by now
+    release.set()
+    for thread in threads:
+        thread.join()
+    assert calls == ["is it?"]
+    assert results == [question.score("is it?")] * 4
+    assert _score("question", "is it") == question.score("is it")  # a later miss scores as before
+
+
+def test_score_that_raises_leaves_the_memo_usable(monkeypatch):
+    question = predicates.get_predicate("question")
+
+    def broken(text):
+        raise RuntimeError("score failed")
+
+    monkeypatch.setitem(predicates._BY_ID, "question", dataclasses.replace(question, score=broken))
+    _score.cache_clear()
+    with pytest.raises(RuntimeError):
+        _score("question", "why?")
+    monkeypatch.setitem(predicates._BY_ID, "question", question)
+    assert _score("question", "why?") == question.score("why?")
 
 
 # ---------------------------------------------------------------- request hash

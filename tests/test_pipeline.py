@@ -85,10 +85,7 @@ def test_describe_pair_verification_scores_each_text_once_per_predicate(monkeypa
 
     monkeypatch.setattr(pipeline, "verify", counted_verify)
     _score.cache_clear()
-    # One worker: two workers that miss one score at once both compute it
-    # (functools.lru_cache does not lock a miss), and the verify queue lets
-    # workers share a description.
-    report = describe_pair(task.pair, RunConfig(in_flight=1))
+    report = describe_pair(task.pair, RunConfig())
     assert report.ranked[0].hypothesis.s == "contains a question mark"
     assert "question" in {pred_id for pred_id, _ in calls}
     assert max(calls.values()) == 1
