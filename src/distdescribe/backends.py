@@ -31,7 +31,7 @@ import urllib.parse
 import urllib.request
 import warnings
 import weakref
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator
@@ -143,46 +143,74 @@ def _parse_prompt_groups(prompt: str) -> tuple[list[str], list[str]]:
     return groups["0"], groups["1"]
 
 
-SCORE_MEMO_SIZE = 2048
+SCORE_MEMO_TEXTS = 4096
+
+# Each predicate's slot in a score row.
+_SLOTS = {p.id: i for i, p in enumerate(PREDICATES)}
+
+# text -> its score row: the text's score under each predicate, in _SLOTS
+# order, None until first asked for.  At most SCORE_MEMO_TEXTS texts; the
+# text added first is dropped first.
+_score_rows: OrderedDict[str, list[float | None]] = OrderedDict()
 
 # (predicate id, text) -> the thread scoring it, while it does.
 _scoring: dict[tuple[str, str], int] = {}
 
 
-@functools.lru_cache(maxsize=SCORE_MEMO_SIZE)
 def _score(predicate_id: str, text: str) -> float:
-    # Reached on a miss.  lru_cache does not lock a miss, so threads that miss
-    # one pair at once would each score it.  Instead each claims the pair in
-    # _scoring (dict.setdefault is atomic), waiting while another thread
-    # holds it, and asks the LRU again: the first thread misses again and
-    # computes the score, and the others find it stored.  Hits take no
-    # claim, and a miss no other thread shares never waits.
+    """The score of ``text`` under the predicate ``predicate_id``, memoized in its row."""
+    row = _score_rows.get(text)
+    if row is None:
+        row = _score_rows.setdefault(text, [None] * len(_SLOTS))  # atomic, as is popitem
+        if len(_score_rows) > SCORE_MEMO_TEXTS:
+            _score_rows.popitem(last=False)
+    slot = _SLOTS[predicate_id]
+    score = row[slot]
+    if score is not None:
+        return score
+    # Threads that miss one score at once compute it once: each claims
+    # (predicate, text) in _scoring (dict.setdefault is atomic), waiting
+    # while another thread holds it, and reads the row again holding the
+    # claim, so the first thread computes the score and the others find it.
+    # Hits take no claim, and a miss no other thread shares never waits.
     key = (predicate_id, text)
     me = threading.get_ident()
-    if _scoring.get(key) == me:  # asked again below, and missed: compute it
-        return get_predicate(predicate_id).score(text)
     while _scoring.setdefault(key, me) != me:
         time.sleep(1e-6)
     try:
-        return _score(predicate_id, text)
+        score = row[slot]
+        if score is None:
+            score = row[slot] = get_predicate(predicate_id).score(text)
+        return score
     finally:
         del _scoring[key]
+
+
+@functools.lru_cache(maxsize=256)
+def _question_predicate(question: str) -> str | None:
+    """The id of the predicate a judgment question asks about, or None."""
+    question = question.strip()
+    if not question.startswith(QUESTION_PREFIX) or not question.endswith("?"):
+        return None
+    predicate = parse_description(question[len(QUESTION_PREFIX) : -1])
+    return predicate.id if predicate is not None else None
 
 
 class RuleBackend(Backend):
     """Deterministic stand-in backed by the predicate registry.
 
     A judgment compares the two texts' predicate scores, and a completion
-    ranks every predicate by its mean score per group, so one verification
-    asks for the same text's score about four times.  Scores are pure
-    functions of the text, so they are memoized in one module-level LRU
-    shared by every instance and both methods: ``_score(predicate_id, text)``
-    holds the score of the most recent ``SCORE_MEMO_SIZE`` (2,048) distinct
-    (predicate, text) pairs, so at worst it keeps 2,048 texts alive, one per
-    entry.  Threads that miss one pair at once compute its score once.
-    It memoizes scores, not judgments: answers and request counts
-    are the same as without it, and the judgment cache stays
-    ``verifier.JudgmentCache``.
+    ranks every predicate by its mean score per group, so one describe asks
+    for the same text's score many times.  Scores are pure functions of the
+    text, so they are memoized in one module-level table shared by every
+    instance and both methods: one row per text, holding its score under
+    each predicate, filled as each is first asked for.  The table keeps the
+    rows of the last ``SCORE_MEMO_TEXTS`` (4,096) texts added, the oldest
+    dropped first.  Threads that miss one (predicate, text) at once compute
+    its score once.  It memoizes scores, not judgments: answers and request
+    counts are the same as without it, and the judgment cache stays
+    ``verifier.JudgmentCache``.  Each question is mapped to its predicate
+    once, in a memo of the last 256 questions.
     """
 
     id = "rule"
@@ -199,17 +227,13 @@ class RuleBackend(Backend):
         return [p.description for p in ranked[: req.n]]
 
     def judge(self, req: JudgmentRequest) -> str:
-        question = req.question.strip()
-        if not question.startswith(QUESTION_PREFIX) or not question.endswith("?"):
-            return "unknown"
-        s = question[len(QUESTION_PREFIX) : -1]
-        predicate = parse_description(s)
-        if predicate is None:
+        predicate_id = _question_predicate(req.question)
+        if predicate_id is None:
             return "unknown"
         if not req.context.startswith("A: ") or "\nB: " not in req.context:
             return "unknown"
         a_text, _, b_text = req.context[len("A: ") :].partition("\nB: ")
-        return "yes" if _score(predicate.id, a_text) > _score(predicate.id, b_text) else "no"
+        return "yes" if _score(predicate_id, a_text) > _score(predicate_id, b_text) else "no"
 
 
 # ---------------------------------------------------------------------------

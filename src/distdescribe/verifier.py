@@ -18,7 +18,7 @@ import os
 import string
 import threading
 import zlib
-from collections import deque
+from collections import Counter, deque
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, repeat
 from json.encoder import encode_basestring
@@ -54,10 +54,19 @@ Completion = tuple[str, CompletionRequest]
 NewJudgment = tuple[Judgment, tuple[Sample, Sample], str | None, str, float]
 
 
+def _question(s: str) -> str:
+    """The question of a judgment of description ``s``, the same on every pair."""
+    return f"{QUESTION_PREFIX}{s}?"
+
+
+def _context(a_line: str, b_line: str) -> str:
+    """The context of a judgment of texts A and B, each already on one line."""
+    return f"A: {a_line}\nB: {b_line}"
+
+
 def build_question(s: str, a: Sample, b: Sample) -> JudgmentRequest:
     return JudgmentRequest(
-        question=f"{QUESTION_PREFIX}{s}?",
-        context=f"A: {one_line(a.text)}\nB: {one_line(b.text)}",
+        question=_question(s), context=_context(one_line(a.text), one_line(b.text))
     )
 
 
@@ -73,11 +82,17 @@ class CAEstimate:
         return asdict(self)
 
 
+_EXACT_ANSWERS = {"yes": 1.0, "no": 0.0}
+
+
 def _answer_value(answer: str) -> float:
     """Score an answer by its first word, case-folded, trailing punctuation cut.
 
     Exactly "yes" is 1.0 and exactly "no" is 0.0; anything else abstains.
     """
+    value = _EXACT_ANSWERS.get(answer)
+    if value is not None:
+        return value
     words = answer.split(maxsplit=1)
     first = words[0].rstrip(string.punctuation).lower() if words else ""
     if first == "yes":
@@ -376,13 +391,32 @@ class _Misses:
     verification but its judgment tuple, which the cache's memo keeps.
     """
 
-    __slots__ = ("judgments", "pairs", "keys", "owners")
+    __slots__ = ("judgments", "ranks", "keys", "owners")
 
     def __init__(self) -> None:
         self.judgments: list[Judgment] = []
-        self.pairs: list[tuple[Sample, Sample]] = []  # (A, B)
+        self.ranks: list[int] = []  # the index of its (A, B) pair among the distinct pairs
         self.keys: list[str | None] = []  # row keys, where the lookup computed them
         self.owners: list[int] = []  # the description that needs it first
+
+
+def _distinct(
+    directed: Sequence[tuple[Sample, Sample]],
+) -> tuple[list[tuple[Sample, Sample]], list[int]]:
+    """Dedupe directed pairs by their two texts, all that a judgment asks of a pair.
+
+    Returns the pairs with distinct (text A, text B), in order of first
+    appearance, and each directed pair's index among them.
+    """
+    pairs: list[tuple[Sample, Sample]] = []
+    rank_of: dict[tuple[str, str], int] = {}
+    ranks = []
+    for pair in directed:
+        r = rank_of.setdefault((pair[0].text, pair[1].text), len(pairs))
+        if r == len(pairs):
+            pairs.append(pair)
+        ranks.append(r)
+    return pairs, ranks
 
 
 class Verifier:
@@ -404,58 +438,74 @@ class Verifier:
             return self.abstain_count / self.judgment_count
 
     def _look_up(
-        self, descriptions: Sequence[str], directed: Sequence[tuple[Sample, Sample]]
-    ) -> tuple[list[list[float | None]], list[tuple[list[int], list[int]]], _Misses]:
-        """Every judgment of every description looked up in the cache.
+        self, descriptions: Sequence[str], pairs: Sequence[tuple[Sample, Sample]]
+    ) -> tuple[list[list[float | None]], list[tuple[Sequence[int], range]], _Misses]:
+        """Every judgment of every description on the distinct ``pairs`` looked up in the cache.
 
-        Returns each description's values, None where missed; its gaps, the
-        positions it missed and the miss each one needs; and the misses.
+        Returns each description's value per pair, None where missed; its
+        gaps, the pairs it missed and the miss each one needs; and the
+        misses.
         """
         backend_id = self.backend.id
-        texts = [(a.text, b.text) for a, b in directed]
+        texts = [(a.text, b.text) for a, b in pairs]
         found, gaps = [], []
         misses = _Misses()
-        first: dict[Judgment, int] = {}
+        first: dict[str, tuple[Sequence[int], range]] = {}
         lookups = self.cache.lookup(backend_id, descriptions, texts)
         for d, (s, (values, keys)) in enumerate(zip(descriptions, lookups)):
-            positions, needed = [], []
-            for p, value in enumerate(values):
-                if value is None:
-                    judgment = (backend_id, s) + texts[p]
-                    i = first.get(judgment)
-                    if i is None:
-                        i = first[judgment] = len(misses.judgments)
-                        misses.judgments.append(judgment)
-                        misses.pairs.append(directed[p])
-                        misses.keys.append(keys[p] if keys is not None else None)
-                        misses.owners.append(d)
-                    positions.append(p)
-                    needed.append(i)
+            # A description listed again needs the first copy's misses: they
+            # include all of its own, since the cache only grows.
+            gap = first.get(s)
+            if gap is None:
+                if values.count(None) == len(values):
+                    missed: Sequence[int] = range(len(values))
+                else:
+                    missed = [r for r, value in enumerate(values) if value is None]
+                base = len(misses.judgments)
+                misses.judgments += [(backend_id, s) + texts[r] for r in missed]
+                misses.ranks += missed
+                misses.keys += [None] * len(missed) if keys is None else [keys[r] for r in missed]
+                misses.owners += [d] * len(missed)
+                gap = first[s] = (missed, range(base, base + len(missed)))
             found.append(values)
-            gaps.append((positions, needed))
+            gaps.append(gap)
         return found, gaps, misses
 
     def _send(
-        self, misses: _Misses, n_descriptions: int, in_flight: int, flush: bool
+        self,
+        descriptions: Sequence[str],
+        pairs: Sequence[tuple[Sample, Sample]],
+        misses: _Misses,
+        in_flight: int,
+        flush: bool,
     ) -> tuple[list[str | None], list[float]]:
         """Send each miss once; return each one's answer, None if it failed, and value.
 
-        The misses go through one FIFO queue drained by ``min(in_flight,
-        misses)`` workers, the calling thread among them: with no miss no
-        thread is started.  A description's new judgments are put into the
-        cache, and with ``flush`` appended to its store in one write, once
-        its last miss is answered.  A :class:`BackendError` leaves a miss
-        failed, and it is not cached.  An :class:`AuthError` or
-        :class:`ReplayMissError` (or any other exception) empties the queue,
-        so no request is sent after it, and propagates once the workers are
-        done.
+        Each description's question is built once, and each distinct pair's
+        context once, from each text put on one line once; a miss's request
+        joins the two.  The misses go through one FIFO queue drained by
+        ``min(in_flight, misses)`` workers, the calling thread among them:
+        with no miss no thread is started.  A description's new judgments
+        are put into the cache, and with ``flush`` appended to its store in
+        one write, once its last miss is answered.  A :class:`BackendError`
+        leaves a miss failed, and it is not cached.  An :class:`AuthError`
+        or :class:`ReplayMissError` (or any other exception) empties the
+        queue, so no request is sent after it, and propagates once the
+        workers are done.
         """
         n = len(misses.judgments)
         answers: list[str | None] = [None] * n
         answer_values = [ABSTAIN] * n
         if not n:
             return answers, answer_values
-        owned: list[list[int]] = [[] for _ in range(n_descriptions)]
+        questions = [_question(s) for s in descriptions]
+        missed = set(misses.ranks)
+        lines = {t: one_line(t) for r in missed for t in (pairs[r][0].text, pairs[r][1].text)}
+        contexts: list[str] = [""] * len(pairs)
+        for r in missed:
+            a, b = pairs[r]
+            contexts[r] = _context(lines[a.text], lines[b.text])
+        owned: list[list[int]] = [[] for _ in descriptions]
         for i, d in enumerate(misses.owners):
             owned[d].append(i)
         queue = deque(range(n))
@@ -465,7 +515,13 @@ class Verifier:
 
         def finish(d: int) -> None:
             self.cache.put(
-                (misses.judgments[i], misses.pairs[i], misses.keys[i], answers[i], answer_values[i])
+                (
+                    misses.judgments[i],
+                    pairs[misses.ranks[i]],
+                    misses.keys[i],
+                    answers[i],
+                    answer_values[i],
+                )
                 for i in owned[d]
                 if answers[i] is not None
             )
@@ -479,9 +535,10 @@ class Verifier:
                         i = queue.popleft()
                     except IndexError:  # another worker took the last one
                         return
-                    a, b = misses.pairs[i]
+                    d = misses.owners[i]
+                    req = JudgmentRequest(questions[d], contexts[misses.ranks[i]])
                     try:
-                        answer = self.backend.judge(build_question(misses.judgments[i][1], a, b))
+                        answer = self.backend.judge(req)
                     except (AuthError, ReplayMissError):
                         raise  # configuration mistakes; retrying other pairs cannot help
                     except BackendError:
@@ -492,7 +549,6 @@ class Verifier:
                     else:
                         answers[i] = answer
                         answer_values[i] = _answer_value(answer)
-                    d = misses.owners[i]
                     if left[d].pop() == 0:
                         finish(d)
             except BaseException as exc:
@@ -521,24 +577,33 @@ class Verifier:
     ) -> list[list[float]]:
         """Each description's judgment of each directed (A, B) pair, in {0, 0.5, 1}.
 
-        Every judgment is looked up in the cache first, on the calling
-        thread; then each distinct miss is sent once (:meth:`_send`).  A
-        failed miss abstains wherever it is needed and is counted as failed
-        there.
+        The directed pairs are deduped by text once per call.  Every
+        judgment is looked up in the cache first, on the calling thread;
+        then each distinct miss is sent once (:meth:`_send`).  A failed miss
+        abstains wherever it is needed and is counted as failed there.
         """
-        found, gaps, misses = self._look_up(descriptions, directed)
-        answers, answer_values = self._send(misses, len(descriptions), in_flight, flush)
+        pairs, ranks = _distinct(directed)
+        found, gaps, misses = self._look_up(descriptions, pairs)
+        answers, answer_values = self._send(descriptions, pairs, misses, in_flight, flush)
+        deduped = len(pairs) < len(ranks)
+        # How many directed pairs ask each distinct pair's judgment, if a miss failed.
+        weights = Counter(ranks) if None in answers else None
+        judged = []
         abstained = failed = 0
-        for values, (positions, needed) in zip(found, gaps):
-            for p, i in zip(positions, needed):
-                values[p] = answer_values[i]
-                failed += answers[i] is None
+        for values, (missed, needed) in zip(found, gaps):
+            for r, i in zip(missed, needed):
+                values[r] = answer_values[i]
+                if weights is not None and answers[i] is None:
+                    failed += weights[r]
+            if deduped:
+                values = [values[r] for r in ranks]
             abstained += values.count(ABSTAIN)
+            judged.append(values)
         with self._lock:
             self.judgment_count += len(descriptions) * len(directed)
             self.abstain_count += abstained
             self.failed_count += failed
-        return found
+        return judged
 
     def judge(self, s: str, a: Sample, b: Sample) -> float:
         """One directed judgment of description ``s`` in {0, 0.5, 1}; 0.5 is abstention.

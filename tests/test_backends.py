@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from distdescribe import __version__, predicates
 from distdescribe.backends import (
-    SCORE_MEMO_SIZE,
+    SCORE_MEMO_TEXTS,
     CompletionRequest,
     HttpBackend,
     JudgmentRequest,
@@ -33,6 +33,7 @@ from distdescribe.backends import (
     RuleBackend,
     _parse_prompt_groups,
     _score,
+    _score_rows,
     make_backend,
     one_line,
     request_hash,
@@ -146,15 +147,15 @@ _memo_text = st.lists(
 def test_rule_judge_equals_direct_scores_cold_warm_and_evicted(pred, a, b):
     a, b = one_line(a), one_line(b)
     expected = {q.description: "yes" if q.score(a) > q.score(b) else "no" for q in PREDICATES}
-    _score.cache_clear()
+    _score_rows.clear()
     assert _judge(pred.description, a, b) == expected[pred.description]  # cold
     for s, answer in expected.items():  # warm, the same texts memoized under each predicate
         assert _judge(s, a, b) == answer
-    for i in range(SCORE_MEMO_SIZE + 1):
+    for i in range(SCORE_MEMO_TEXTS + 1):
         _score("question", f"filler {i}")
-    assert _score.cache_info().currsize == SCORE_MEMO_SIZE
+    assert len(_score_rows) == SCORE_MEMO_TEXTS
     assert _judge(pred.description, a, b) == expected[pred.description]  # after evictions
-    assert _score.cache_info().currsize <= SCORE_MEMO_SIZE
+    assert len(_score_rows) <= SCORE_MEMO_TEXTS
 
 
 def _reference_ranking(texts0, texts1):
@@ -176,13 +177,13 @@ _memo_group = st.lists(_memo_text.filter(bool), min_size=1, max_size=5)
 @given(texts1=_memo_group, texts0=_memo_group, warm=st.booleans())
 def test_rule_complete_ranks_like_direct_scores(texts1, texts0, warm):
     if not warm:
-        _score.cache_clear()
+        _score_rows.clear()
     set1 = [Sample(id=f"g1:{i}", text=t) for i, t in enumerate(texts1)]
     set0 = [Sample(id=f"g0:{i}", text=t) for i, t in enumerate(texts0)]
     req = CompletionRequest(prompt=build_prompt(set1, set0).rendered, n=len(PREDICATES))
     assert RuleBackend().complete(req) == _reference_ranking(texts0, texts1)
     assert RuleBackend().complete(req) == _reference_ranking(texts0, texts1)
-    assert _score.cache_info().currsize <= SCORE_MEMO_SIZE
+    assert len(_score_rows) <= SCORE_MEMO_TEXTS
 
 
 def test_score_missed_by_threads_at_once_is_computed_once(monkeypatch):
@@ -197,7 +198,7 @@ def test_score_missed_by_threads_at_once_is_computed_once(monkeypatch):
 
     slow = dataclasses.replace(question, score=slow_score)
     monkeypatch.setitem(predicates._BY_ID, "question", slow)
-    _score.cache_clear()
+    _score_rows.clear()
     results = []
     threads = [
         threading.Thread(target=lambda: results.append(_score("question", "is it?")))
@@ -221,7 +222,7 @@ def test_score_that_raises_leaves_the_memo_usable(monkeypatch):
         raise RuntimeError("score failed")
 
     monkeypatch.setitem(predicates._BY_ID, "question", dataclasses.replace(question, score=broken))
-    _score.cache_clear()
+    _score_rows.clear()
     with pytest.raises(RuntimeError):
         _score("question", "why?")
     monkeypatch.setitem(predicates._BY_ID, "question", question)

@@ -12,7 +12,7 @@ import pytest
 import distdescribe.discriminator as discriminator
 import distdescribe.pipeline as pipeline
 import distdescribe.predicates as predicates
-from distdescribe.backends import Backend, RuleBackend, _score
+from distdescribe.backends import Backend, RuleBackend, _score_rows
 from distdescribe.bench import generate_task
 from distdescribe.config import RunConfig
 from distdescribe.corpus import ClusteredCorpus
@@ -64,8 +64,9 @@ def test_describe_pair_featurizes_each_sample_once(monkeypatch):
     assert len(calls) == len(task.pair.d0) + len(task.pair.d1)
 
 
-def test_describe_pair_verification_scores_each_text_once_per_predicate(monkeypatch):
-    task = generate_task("question", 0.8, 0.1, 120, seed=5)
+@pytest.fixture
+def scorings(monkeypatch):
+    """How often each (predicate id, text) was scored, with an empty score memo to start."""
     calls = Counter()
 
     def counted(pred):
@@ -77,18 +78,37 @@ def test_describe_pair_verification_scores_each_text_once_per_predicate(monkeypa
 
     for pred in predicates.PREDICATES:
         monkeypatch.setitem(predicates._BY_ID, pred.id, counted(pred))
+    _score_rows.clear()
+    return calls
+
+
+def test_describe_pair_verification_scores_each_text_once_per_predicate(monkeypatch, scorings):
+    task = generate_task("question", 0.8, 0.1, 120, seed=5)
     original_verify = pipeline.verify
 
     def counted_verify(*args, **kwargs):
-        calls.clear()  # count the verifier's scorings only
+        scorings.clear()  # count the verifier's scorings only
         return original_verify(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "verify", counted_verify)
-    _score.cache_clear()
     report = describe_pair(task.pair, RunConfig())
     assert report.ranked[0].hypothesis.s == "contains a question mark"
-    assert "question" in {pred_id for pred_id, _ in calls}
-    assert max(calls.values()) == 1
+    assert "question" in {pred_id for pred_id, _ in scorings}
+    assert max(scorings.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "config", [RunConfig(), RunConfig(in_flight=1)], ids=["default", "in_flight_1"]
+)
+def test_describe_pair_scores_each_text_once_per_predicate(scorings, config):
+    # The proposer and the verifier share the score memo: what one scored,
+    # the other reads, so no score of a describe is computed twice.
+    task = generate_task("question", 0.8, 0.1, 120, seed=5)
+    scorings.clear()  # the generator scores texts directly
+    report = describe_pair(task.pair, config)
+    assert report.ranked[0].hypothesis.s == "contains a question mark"
+    assert len(scorings) > 3000
+    assert max(scorings.values()) == 1
 
 
 def test_describe_pair_rank_and_order_contract():

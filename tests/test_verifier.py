@@ -200,6 +200,33 @@ def _directed_questions(descriptions, pair, n_pairs, seed):
     }
 
 
+# The context's own separators, line breaks, quotes and non-ASCII, mixed with arbitrary text.
+_request_text = st.lists(
+    st.sampled_from(["\n", "B: ", "\nB: ", "A: ", '"', "'", "?", "é", "中文", "🙂"])
+    | st.text(max_size=6),
+    min_size=1,
+    max_size=6,
+).map("".join).filter(bool)
+
+
+@settings(max_examples=100, derandomize=True, database=None)
+@given(s=_request_text, a=_request_text, b=_request_text, c=_request_text)
+def test_verification_sends_build_question_of_each_judgment(s, a, b, c):
+    pair = make_pair([c, a], [a, b])  # d0, d1: the 4 pairs are enumerated
+    directed = [
+        order for x1 in pair.d1.samples for x0 in pair.d0.samples for order in ((x1, x0), (x0, x1))
+    ]
+    descriptions = [s, QUESTION, s]
+    expected = {build_question(d, x, y) for d in descriptions for x, y in directed}
+    for in_flight in (1, 2):
+        backend = _RequestLog()
+        Verifier(backend).estimate_cas(descriptions, pair, n_pairs=4, in_flight=in_flight)
+        assert Counter(backend.requests) == Counter(expected)
+    backend = _RequestLog()
+    Verifier(backend).judge(s, pair.d1.samples[1], pair.d0.samples[0])
+    assert backend.requests == [build_question(s, pair.d1.samples[1], pair.d0.samples[0])]
+
+
 def test_estimate_ca_counts_each_judgment_once_and_sends_each_distinct_miss_once():
     task = generate_task("question", 0.8, 0.1, 40, seed=3)
     backend = _RequestLog()
