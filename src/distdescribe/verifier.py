@@ -18,7 +18,7 @@ import os
 import string
 import threading
 import zlib
-from collections import Counter, deque
+from collections import deque
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, repeat
 from json.encoder import encode_basestring
@@ -391,32 +391,26 @@ class _Misses:
     verification but its judgment tuple, which the cache's memo keeps.
     """
 
-    __slots__ = ("judgments", "ranks", "keys", "owners")
+    __slots__ = ("judgments", "positions", "keys", "owners")
 
     def __init__(self) -> None:
         self.judgments: list[Judgment] = []
-        self.ranks: list[int] = []  # the index of its (A, B) pair among the distinct pairs
+        self.positions: list[int] = []  # the first directed pair it judges
         self.keys: list[str | None] = []  # row keys, where the lookup computed them
         self.owners: list[int] = []  # the description that needs it first
 
 
-def _distinct(
-    directed: Sequence[tuple[Sample, Sample]],
-) -> tuple[list[tuple[Sample, Sample]], list[int]]:
-    """Dedupe directed pairs by their two texts, all that a judgment asks of a pair.
-
-    Returns the pairs with distinct (text A, text B), in order of first
-    appearance, and each directed pair's index among them.
-    """
-    pairs: list[tuple[Sample, Sample]] = []
-    rank_of: dict[tuple[str, str], int] = {}
-    ranks = []
-    for pair in directed:
-        r = rank_of.setdefault((pair[0].text, pair[1].text), len(pairs))
-        if r == len(pairs):
-            pairs.append(pair)
+def _distinct(texts: Sequence[tuple[str, str]]) -> tuple[list[int], list[int]]:
+    """Each (text A, text B)'s index among the distinct ones, and the first position of each."""
+    index: dict[tuple[str, str], int] = {}
+    ranks: list[int] = []
+    firsts: list[int] = []
+    for p, both in enumerate(texts):
+        r = index.setdefault(both, len(firsts))
+        if r == len(firsts):
+            firsts.append(p)
         ranks.append(r)
-    return pairs, ranks
+    return ranks, firsts
 
 
 class Verifier:
@@ -438,35 +432,55 @@ class Verifier:
             return self.abstain_count / self.judgment_count
 
     def _look_up(
-        self, descriptions: Sequence[str], pairs: Sequence[tuple[Sample, Sample]]
-    ) -> tuple[list[list[float | None]], list[tuple[Sequence[int], range]], _Misses]:
-        """Every judgment of every description on the distinct ``pairs`` looked up in the cache.
+        self, descriptions: Sequence[str], directed: Sequence[tuple[Sample, Sample]]
+    ) -> tuple[list[list[float | None]], list[tuple[Sequence[int], Sequence[int]]], _Misses]:
+        """Every judgment of every description looked up in the cache.
 
-        Returns each description's value per pair, None where missed; its
-        gaps, the pairs it missed and the miss each one needs; and the
-        misses.
+        Returns each description's values, None where missed; its gaps, the
+        positions it missed and the miss each one needs; and the misses.
+        Directed pairs with the same two texts ask the same judgment: they
+        are deduped by text once per call, at the first miss.  A description
+        listed again needs the first copy's misses, which include all of its
+        own, since the cache only grows.
         """
         backend_id = self.backend.id
-        texts = [(a.text, b.text) for a, b in pairs]
+        texts = [(a.text, b.text) for a, b in directed]
         found, gaps = [], []
         misses = _Misses()
-        first: dict[str, tuple[Sequence[int], range]] = {}
+        ranks: list[int] = []
+        firsts: list[int] = []
+        first: dict[str, tuple[Sequence[int], Sequence[int]]] = {}
         lookups = self.cache.lookup(backend_id, descriptions, texts)
         for d, (s, (values, keys)) in enumerate(zip(descriptions, lookups)):
-            # A description listed again needs the first copy's misses: they
-            # include all of its own, since the cache only grows.
             gap = first.get(s)
+            if gap is None and None not in values:
+                gap = first[s] = ((), ())
             if gap is None:
-                if values.count(None) == len(values):
-                    missed: Sequence[int] = range(len(values))
-                else:
-                    missed = [r for r, value in enumerate(values) if value is None]
+                if not firsts:
+                    ranks, firsts = _distinct(texts)
                 base = len(misses.judgments)
-                misses.judgments += [(backend_id, s) + texts[r] for r in missed]
-                misses.ranks += missed
-                misses.keys += [None] * len(missed) if keys is None else [keys[r] for r in missed]
+                positions: Sequence[int]
+                if values.count(None) == len(values):  # nothing cached: each distinct pair
+                    positions, missed = range(len(values)), firsts
+                    if len(firsts) == len(values):
+                        needed = range(base, base + len(values))
+                    else:
+                        needed = [base + r for r in ranks]
+                else:
+                    positions = [p for p, value in enumerate(values) if value is None]
+                    at: list[int | None] = [None] * len(firsts)  # each distinct pair's miss
+                    missed, needed = [], []
+                    for p in positions:
+                        i = at[ranks[p]]
+                        if i is None:
+                            i = at[ranks[p]] = base + len(missed)
+                            missed.append(p)
+                        needed.append(i)
+                misses.judgments += [(backend_id, s) + texts[p] for p in missed]
+                misses.positions += missed
+                misses.keys += [None] * len(missed) if keys is None else [keys[p] for p in missed]
                 misses.owners += [d] * len(missed)
-                gap = first[s] = (missed, range(base, base + len(missed)))
+                gap = first[s] = (positions, needed)
             found.append(values)
             gaps.append(gap)
         return found, gaps, misses
@@ -474,14 +488,14 @@ class Verifier:
     def _send(
         self,
         descriptions: Sequence[str],
-        pairs: Sequence[tuple[Sample, Sample]],
+        directed: Sequence[tuple[Sample, Sample]],
         misses: _Misses,
         in_flight: int,
         flush: bool,
     ) -> tuple[list[str | None], list[float]]:
         """Send each miss once; return each one's answer, None if it failed, and value.
 
-        Each description's question is built once, and each distinct pair's
+        Each description's question is built once, and each missed pair's
         context once, from each text put on one line once; a miss's request
         joins the two.  The misses go through one FIFO queue drained by
         ``min(in_flight, misses)`` workers, the calling thread among them:
@@ -499,12 +513,9 @@ class Verifier:
         if not n:
             return answers, answer_values
         questions = [_question(s) for s in descriptions]
-        missed = set(misses.ranks)
-        lines = {t: one_line(t) for r in missed for t in (pairs[r][0].text, pairs[r][1].text)}
-        contexts: list[str] = [""] * len(pairs)
-        for r in missed:
-            a, b = pairs[r]
-            contexts[r] = _context(lines[a.text], lines[b.text])
+        pairs = {p: directed[p] for p in misses.positions}
+        lines = {t: one_line(t) for t in {x.text for pair in pairs.values() for x in pair}}
+        contexts = {p: _context(lines[a.text], lines[b.text]) for p, (a, b) in pairs.items()}
         owned: list[list[int]] = [[] for _ in descriptions]
         for i, d in enumerate(misses.owners):
             owned[d].append(i)
@@ -517,7 +528,7 @@ class Verifier:
             self.cache.put(
                 (
                     misses.judgments[i],
-                    pairs[misses.ranks[i]],
+                    directed[misses.positions[i]],
                     misses.keys[i],
                     answers[i],
                     answer_values[i],
@@ -536,7 +547,7 @@ class Verifier:
                     except IndexError:  # another worker took the last one
                         return
                     d = misses.owners[i]
-                    req = JudgmentRequest(questions[d], contexts[misses.ranks[i]])
+                    req = JudgmentRequest(questions[d], contexts[misses.positions[i]])
                     try:
                         answer = self.backend.judge(req)
                     except (AuthError, ReplayMissError):
@@ -577,33 +588,24 @@ class Verifier:
     ) -> list[list[float]]:
         """Each description's judgment of each directed (A, B) pair, in {0, 0.5, 1}.
 
-        The directed pairs are deduped by text once per call.  Every
-        judgment is looked up in the cache first, on the calling thread;
-        then each distinct miss is sent once (:meth:`_send`).  A failed miss
-        abstains wherever it is needed and is counted as failed there.
+        Every judgment is looked up in the cache first, on the calling
+        thread; then each distinct miss is sent once (:meth:`_send`).  A
+        failed miss abstains wherever it is needed and is counted as failed
+        there.
         """
-        pairs, ranks = _distinct(directed)
-        found, gaps, misses = self._look_up(descriptions, pairs)
-        answers, answer_values = self._send(descriptions, pairs, misses, in_flight, flush)
-        deduped = len(pairs) < len(ranks)
-        # How many directed pairs ask each distinct pair's judgment, if a miss failed.
-        weights = Counter(ranks) if None in answers else None
-        judged = []
+        found, gaps, misses = self._look_up(descriptions, directed)
+        answers, answer_values = self._send(descriptions, directed, misses, in_flight, flush)
         abstained = failed = 0
-        for values, (missed, needed) in zip(found, gaps):
-            for r, i in zip(missed, needed):
-                values[r] = answer_values[i]
-                if weights is not None and answers[i] is None:
-                    failed += weights[r]
-            if deduped:
-                values = [values[r] for r in ranks]
+        for values, (positions, needed) in zip(found, gaps):
+            for p, i in zip(positions, needed):
+                values[p] = answer_values[i]
+                failed += answers[i] is None
             abstained += values.count(ABSTAIN)
-            judged.append(values)
         with self._lock:
             self.judgment_count += len(descriptions) * len(directed)
             self.abstain_count += abstained
             self.failed_count += failed
-        return judged
+        return found
 
     def judge(self, s: str, a: Sample, b: Sample) -> float:
         """One directed judgment of description ``s`` in {0, 0.5, 1}; 0.5 is abstention.

@@ -16,6 +16,7 @@ import sys
 import threading
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,46 @@ def test_score_that_raises_leaves_the_memo_usable(monkeypatch):
         _score("question", "why?")
     monkeypatch.setitem(predicates._BY_ID, "question", question)
     assert _score("question", "why?") == question.score("why?")
+
+
+def test_threads_scoring_shared_texts_compute_each_score_once(monkeypatch):
+    calls = Counter()
+    lock = threading.Lock()
+
+    def counted(pred):
+        def score(text):
+            with lock:
+                calls[pred.id, text] += 1
+            return pred.score(text)
+
+        return dataclasses.replace(pred, score=score)
+
+    for pred in PREDICATES:
+        monkeypatch.setitem(predicates._BY_ID, pred.id, counted(pred))
+    _score_rows.clear()
+    texts = [f"text {i} with words?" for i in range(60)]
+    wrong = []
+
+    def work(start):
+        for text in texts[start:] + texts[:start]:
+            for pred in PREDICATES:
+                if _score(pred.id, text) != pred.score(text):
+                    wrong.append((pred.id, text))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(7 * k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert len(calls) == len(texts) * len(PREDICATES)
+    assert set(calls.values()) == {1}
 
 
 # ---------------------------------------------------------------- request hash
