@@ -65,6 +65,11 @@ def _context(a_line: str, b_line: str) -> str:
 
 
 def build_question(s: str, a: Sample, b: Sample) -> JudgmentRequest:
+    """The request of one judgment of ``s`` on (a, b).
+
+    A verification sends the same request, assembled from its question and
+    context, each built once per call.
+    """
     return JudgmentRequest(
         question=_question(s), context=_context(one_line(a.text), one_line(b.text))
     )
