@@ -48,19 +48,10 @@ _TRAILERS = (
     "under the archway", "at dawn", "with great care", "",
 )
 
+_POOL_SIZE = 10
+assert all(len(pool) == _POOL_SIZE for pool in (_SUBJECTS, _VERBS, _OBJECTS, _TRAILERS))
+
 SALT_RATE = 0.1
-
-
-def _base_sentence(rng: np.random.Generator) -> str:
-    # Every pool word is neutral with respect to every registered
-    # predicate, so edits below fully control the gold labels.
-    parts = (
-        _SUBJECTS[rng.integers(len(_SUBJECTS))],
-        _VERBS[rng.integers(len(_VERBS))],
-        _OBJECTS[rng.integers(len(_OBJECTS))],
-        _TRAILERS[rng.integers(len(_TRAILERS))],
-    )
-    return " ".join(p for p in parts if p)
 
 
 def _exact_count(rate: float, n: int) -> int:
@@ -147,7 +138,17 @@ def _build_side(
     predicate, rate: float, n_per_side: int, rng: np.random.Generator, name: str
 ) -> Corpus:
     n_satisfy = _exact_count(rate, n_per_side)
-    texts = [predicate.violate(_base_sentence(rng)) for _ in range(n_per_side)]
+    # One row of pool picks per sentence, drawn in one call: the generator
+    # yields the same values as one scalar draw per pick, in the same order.
+    # Every pool word is neutral with respect to every registered predicate,
+    # so the edits below fully control the gold labels.
+    picks = rng.integers(_POOL_SIZE, size=(n_per_side, 4)).tolist()
+    texts = [
+        predicate.violate(
+            f"{_SUBJECTS[s]} {_VERBS[v]} {_OBJECTS[o]} {_TRAILERS[t]}".rstrip()
+        )
+        for s, v, o, t in picks
+    ]
     satisfy_at = set(rng.permutation(n_per_side)[:n_satisfy].tolist())
     for i in satisfy_at:
         texts[i] = predicate.satisfy(texts[i])
@@ -161,9 +162,9 @@ def _build_side(
     # just noise.  An edit that would disturb the gold label is dropped.
     others = [p for p in PREDICATES if p.id != predicate.id]
     salt_at = rng.permutation(n_per_side)[: _exact_count(SALT_RATE, n_per_side)]
-    for i in salt_at.tolist():
-        other = others[rng.integers(len(others))]
-        salted = other.satisfy(texts[i])
+    salt_with = rng.integers(len(others), size=len(salt_at))
+    for i, j in zip(salt_at.tolist(), salt_with.tolist()):
+        salted = others[j].satisfy(texts[i])
         if predicate.satisfied(salted) == predicate.satisfied(texts[i]):
             texts[i] = salted
 

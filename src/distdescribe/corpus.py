@@ -2,7 +2,8 @@
 
 Samples are kept verbatim, because candidate descriptions may hinge on
 punctuation or whitespace: a JSONL "text" value is taken as is, and a
-``lines`` file loses only each line's terminator.
+``lines`` file loses only each line's terminator.  A byte-order mark at the
+start of a file is dropped.
 Duplicate texts are retained; they carry distributional weight when pairs
 are sampled for accuracy estimation.
 """
@@ -24,7 +25,7 @@ from .errors import (
 CORPUS_FORMATS = ("jsonl", "lines")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
     """One text record with a stable opaque identifier."""
 
@@ -85,27 +86,55 @@ class ClusteredCorpus:
         return sorted(self.clusters)
 
 
-def _strip_trailing_newline(text: str) -> str:
-    if text.endswith("\r\n"):
-        return text[:-2]
-    if text.endswith("\n") or text.endswith("\r"):
-        return text[:-1]
-    return text
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+_DECODER = json.JSONDecoder()
+_SCAN = _DECODER.scan_once
+
+
+def _read_lines(path: Path) -> list[str]:
+    r"""The lines of ``path`` without their terminators, as iterating over the file gives them.
+
+    Text mode turns every ``\r\n`` and lone ``\r`` into ``\n``, and a line
+    ends only there; ``str.splitlines`` would also split on U+2028, U+0085,
+    ``\x0b`` and others.  ``utf-8-sig`` drops a byte-order mark at the start
+    of the file only.
+    """
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the last line's terminator, or an empty file
+    return lines
+
+
+def _decode_or_fail(line_number: int, line: str):
+    """``json.loads(line)``, or the reason it fails as a ``MalformedRecordError``."""
+    if line == "":
+        raise MalformedRecordError(line_number, "blank line")
+    if line.startswith("\ufeff"):
+        # json.loads's message; the decoder alone would say "Expecting value".
+        raise MalformedRecordError(
+            line_number, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        )
+    try:
+        return _DECODER.decode(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecordError(line_number, f"invalid JSON: {exc.msg}")
 
 
 def _iter_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            raw = _strip_trailing_newline(line)
-            if raw == "":
-                raise MalformedRecordError(line_number, "blank line")
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(line_number, f"invalid JSON: {exc.msg}")
-            if not isinstance(record, dict):
-                raise MalformedRecordError(line_number, "record is not an object")
-            yield line_number, record
+    for line_number, line in enumerate(_read_lines(path), start=1):
+        # A line that is one JSON value and nothing else is the decoder's
+        # scanner alone; anything else (surrounding whitespace, errors) takes
+        # the whole decode, for its exact value or message.
+        try:
+            record, end = _SCAN(line, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        if end != len(line):
+            record = _decode_or_fail(line_number, line)
+        if not isinstance(record, dict):
+            raise MalformedRecordError(line_number, "record is not an object")
+        yield line_number, record
 
 
 def _record_text(line_number: int, record: dict) -> str:
@@ -140,12 +169,10 @@ def load_corpus(path: str | Path, format: str = "jsonl", name: str | None = None
             text = _record_text(line_number, record)
             samples.append(Sample(id=f"{corpus_name}:{len(samples)}", text=text))
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_number, line in enumerate(fh, start=1):
-                text = _strip_trailing_newline(line)
-                if text == "":
-                    raise MalformedRecordError(line_number, "blank line")
-                samples.append(Sample(id=f"{corpus_name}:{len(samples)}", text=text))
+        for line_number, text in enumerate(_read_lines(path), start=1):
+            if text == "":
+                raise MalformedRecordError(line_number, "blank line")
+            samples.append(Sample(id=f"{corpus_name}:{len(samples)}", text=text))
 
     if not samples:
         raise EmptyCorpusError(f"{path}: zero usable samples")
@@ -154,11 +181,10 @@ def load_corpus(path: str | Path, format: str = "jsonl", name: str | None = None
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write ``corpus`` back to jsonl, preserving every text byte."""
-    path = Path(path)
+    # Exactly json.dumps({"text": text}, ensure_ascii=False) per line.
+    lines = [f'{{"text": {_ENCODER.encode(sample.text)}}}\n' for sample in corpus.samples]
     with open(path, "w", encoding="utf-8") as fh:
-        for sample in corpus.samples:
-            fh.write(json.dumps({"text": sample.text}, ensure_ascii=False))
-            fh.write("\n")
+        fh.write("".join(lines))
 
 
 def load_clustered(path: str | Path, name: str | None = None) -> ClusteredCorpus:

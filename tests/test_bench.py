@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -74,6 +75,58 @@ def test_generate_task_varied_sentence_lengths():
     task = generate_task("question", 0.8, 0.1, 100, seed=4)
     lengths = {len(s.text.split()) for s in task.pair.d0.samples}
     assert len(lengths) >= 4
+
+
+# The generator's output is pinned byte for byte: every golden file, every
+# `gen-bench` directory and every benchmark input is derived from it.  Each
+# digest is the sha256 of every (corpus name, sample id, text) of a group of
+# tasks, in generation order.
+_LARGE_CORPUS_GOLDS = (
+    "question", "negation", "digits", "past_tense",
+    "weather", "comma", "money", "first_person",
+)
+_GENERATED = {
+    "default_suite(54, 200, seed=1)": lambda: default_suite(54, 200, seed=1),
+    "large corpus, 2000 per side at (0.8, 0.1)": lambda: [
+        generate_task(gold, 0.8, 0.1, 2000, seed=1000 + i)
+        for i, gold in enumerate(_LARGE_CORPUS_GOLDS)
+    ],
+    "every predicate, 10 per side at (0.55, 0.45)": lambda: [
+        generate_task(p.id, 0.55, 0.45, 10, seed=300 + i) for i, p in enumerate(PREDICATES)
+    ],
+    "every predicate, 10 per side at (1.0, 0.0)": lambda: [
+        generate_task(p.id, 1.0, 0.0, 10, seed=400 + i) for i, p in enumerate(PREDICATES)
+    ],
+    "every predicate, 200 per side at (0.55, 0.45)": lambda: [
+        generate_task(p.id, 0.55, 0.45, 200, seed=500 + i) for i, p in enumerate(PREDICATES)
+    ],
+}
+_GENERATED_SHA256 = {
+    "default_suite(54, 200, seed=1)":
+        "07a0f7c1758384c439c881e67a3757fb4a5afac8621e05d5cdc5c4e6e25fd18a",
+    "large corpus, 2000 per side at (0.8, 0.1)":
+        "97e8953f3c8f76a33df386826263164db888ac45a69861fc7839b3d3ecfb1b03",
+    "every predicate, 10 per side at (0.55, 0.45)":
+        "48bf6944a39c61c85730d4d7255b0d64a8a818b86ea818195bfc9b58dca79012",
+    "every predicate, 10 per side at (1.0, 0.0)":
+        "a9e385fa80300465e539ef308e17db28268851075e95ff6be2acfac198e36860",
+    "every predicate, 200 per side at (0.55, 0.45)":
+        "476f542a73518218f3722a428242a4c79fdf6aa76092cfcbbe37e9fde1f40bf9",
+}
+
+
+def _generated_digest(tasks) -> str:
+    digest = hashlib.sha256()
+    for task in tasks:
+        for corpus in (task.pair.d0, task.pair.d1):
+            for sample in corpus.samples:
+                digest.update(f"{corpus.name}\0{sample.id}\0{sample.text}\n".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("group", list(_GENERATED))
+def test_generated_corpora_are_pinned(group):
+    assert _generated_digest(_GENERATED[group]()) == _GENERATED_SHA256[group]
 
 
 def test_default_suite_shape():
