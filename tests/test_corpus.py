@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,13 +18,13 @@ from distdescribe.corpus import (
     one_vs_rest,
     save_corpus,
 )
-from distdescribe.predicates import get_predicate
 from distdescribe.errors import (
     EmptyCorpusError,
     FewerThanTwoClustersError,
     MalformedRecordError,
     UnknownClusterError,
 )
+from distdescribe.predicates import get_predicate
 
 from conftest import write_jsonl
 
@@ -101,14 +102,14 @@ def test_round_trip_byte_exact(tmp_path):
 
 # Characters a line-oriented reader could mistake for line ends, or a JSON
 # writer could escape differently: only "\n" (after text mode turns "\r\n"
-# and "\r" into it) ends a line, as it did under `for line in fh`.
+# and "\r" into it) ends a line, as when iterating over a text-mode file.
 _AWKWARD = "\"\\\r\t\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e" + "aé—ü漢😀 "
 _awkward_text = st.text(alphabet=_AWKWARD + "\n", min_size=1, max_size=12)
 _awkward_line = st.text(alphabet=_AWKWARD.replace("\r", ""), min_size=1, max_size=12)
 
 
 def _read_lines_per_line(path):
-    """What the line-at-a-time reader returned: each line minus its terminator."""
+    """The reference reader: iterate over the file in text mode, drop each terminator."""
     with open(path, "r", encoding="utf-8") as fh:
         return [line[:-1] if line.endswith("\n") else line for line in fh]
 
@@ -168,10 +169,7 @@ _BOM_LATER = ("\ufeff" + _VALID, "invalid JSON: Unexpected UTF-8 BOM (decode usi
 
 
 def _malformed_cases():
-    loaders = {
-        "jsonl": lambda path: load_corpus(path, "jsonl"),
-        "clustered": load_clustered,
-    }
+    loaders = {"jsonl": partial(load_corpus, format="jsonl"), "clustered": load_clustered}
     for loader, load in loaders.items():
         rows = _MALFORMED + (_MALFORMED_CLUSTER if loader == "clustered" else [])
         for bad, reason in rows:
@@ -181,7 +179,7 @@ def _malformed_cases():
             )
         yield pytest.param(load, [_VALID, _BOM_LATER[0], _OTHER], 2, _BOM_LATER[1],
                            id=f"{loader}-2-bom")
-    lines = lambda path: load_corpus(path, "lines")  # noqa: E731
+    lines = partial(load_corpus, format="lines")
     yield pytest.param(lines, ["", "a"], 1, "blank line", id="lines-1-blank line")
     yield pytest.param(lines, ["a", "b", "", "c"], 3, "blank line", id="lines-3-blank line")
 
