@@ -87,51 +87,29 @@ class ClusteredCorpus:
 
 
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
-_DECODER = json.JSONDecoder()
-_SCAN = _DECODER.scan_once
 
 
-def _read_lines(path: Path) -> list[str]:
-    r"""The lines of ``path`` without their terminators, as iterating over the file gives them.
+def _iter_lines(path: Path) -> Iterable[tuple[int, str]]:
+    r"""Number the lines of ``path`` and drop their terminators.
 
     Text mode turns every ``\r\n`` and lone ``\r`` into ``\n``, and a line
-    ends only there; ``str.splitlines`` would also split on U+2028, U+0085,
-    ``\x0b`` and others.  ``utf-8-sig`` drops a byte-order mark at the start
+    ends only there (``str.splitlines`` would also split on U+2028, U+0085,
+    ``\x0b`` and others).  ``utf-8-sig`` drops a byte-order mark at the start
     of the file only.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the last line's terminator, or an empty file
-    return lines
-
-
-def _decode_or_fail(line_number: int, line: str):
-    """``json.loads(line)``, or the reason it fails as a ``MalformedRecordError``."""
-    if line == "":
-        raise MalformedRecordError(line_number, "blank line")
-    if line.startswith("\ufeff"):
-        # json.loads's message; the decoder alone would say "Expecting value".
-        raise MalformedRecordError(
-            line_number, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
-        )
-    try:
-        return _DECODER.decode(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecordError(line_number, f"invalid JSON: {exc.msg}")
+        for line_number, line in enumerate(fh, start=1):
+            yield line_number, line.removesuffix("\n")
 
 
 def _iter_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
-    for line_number, line in enumerate(_read_lines(path), start=1):
-        # A line that is one JSON value and nothing else is the decoder's
-        # scanner alone; anything else (surrounding whitespace, errors) takes
-        # the whole decode, for its exact value or message.
+    for line_number, line in _iter_lines(path):
+        if line == "":
+            raise MalformedRecordError(line_number, "blank line")
         try:
-            record, end = _SCAN(line, 0)
-        except (StopIteration, json.JSONDecodeError):
-            end = -1
-        if end != len(line):
-            record = _decode_or_fail(line_number, line)
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecordError(line_number, f"invalid JSON: {exc.msg}")
         if not isinstance(record, dict):
             raise MalformedRecordError(line_number, "record is not an object")
         yield line_number, record
@@ -169,7 +147,7 @@ def load_corpus(path: str | Path, format: str = "jsonl", name: str | None = None
             text = _record_text(line_number, record)
             samples.append(Sample(id=f"{corpus_name}:{len(samples)}", text=text))
     else:
-        for line_number, text in enumerate(_read_lines(path), start=1):
+        for line_number, text in _iter_lines(path):
             if text == "":
                 raise MalformedRecordError(line_number, "blank line")
             samples.append(Sample(id=f"{corpus_name}:{len(samples)}", text=text))
