@@ -72,8 +72,5 @@ from .proposer import (
     normalize_hypothesis,
     propose,
 )
-from .verifier import (
-    CAEstimate,
-    JudgmentCache,
-    Verifier,
-)
+from .store import JudgmentCache
+from .verifier import CAEstimate, Verifier

@@ -7,11 +7,11 @@ Implementations of the same two-method interface:
 * ``RuleBackend`` — deterministic oracle built on the predicate registry;
   proposes by empirical separation and judges by exact score comparison.
 * ``RecordingBackend`` wraps any backend and appends every request/response
-  pair to a JSONL transcript; ``ReplayBackend`` serves a transcript back
-  for offline reproduction of a recorded run.
+  pair to a JSONL transcript (framed by ``store``); ``ReplayBackend``
+  serves a transcript back for offline reproduction of a recorded run.
 
 Judgments and completions are memoized above this layer, by
-``verifier.JudgmentCache``.
+``store.JudgmentCache``.
 """
 
 from __future__ import annotations
@@ -29,12 +29,10 @@ import threading
 import time
 import urllib.parse
 import urllib.request
-import warnings
 import weakref
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator
 
 from . import __version__
 from .config import EndpointConfig
@@ -49,6 +47,7 @@ from .errors import (
     UnparseablePromptError,
 )
 from .predicates import PREDICATES, get_predicate, parse_description
+from .store import append_jsonl, is_string_list, read_jsonl
 
 QUESTION_PREFIX = "Is it true that sentence A "
 
@@ -209,7 +208,7 @@ class RuleBackend(Backend):
     dropped first.  Threads that miss one (predicate, text) at once compute
     its score once.  It memoizes scores, not judgments: answers and request
     counts are the same as without it, and the judgment cache stays
-    ``verifier.JudgmentCache``.  Each question is mapped to its predicate
+    ``store.JudgmentCache``.  Each question is mapped to its predicate
     once, in a memo of the last 256 questions.
     """
 
@@ -432,63 +431,7 @@ class HttpBackend(Backend):
 
 
 # ---------------------------------------------------------------------------
-# Append-only JSONL stores: transcripts here, judgment caches in the verifier
-
-# json.loads without its per-call checks: a judgment cache's rows are
-# decoded one by one.
-_decode_json = json.JSONDecoder().decode
-# json.dumps(row, ensure_ascii=False, sort_keys=True) without an encoder per row.
-_encode_row = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
-
-
-def _parse_row(line: bytes) -> dict | None:
-    try:
-        row = _decode_json(line.decode("utf-8"))
-    except ValueError:  # JSONDecodeError and UnicodeDecodeError
-        return None
-    return row if isinstance(row, dict) else None
-
-
-@dataclass
-class JsonlEnd:
-    """Where a read of an append-only JSONL store stopped."""
-
-    offset: int = 0  # bytes, just past the last complete line read
-    lines: int = 0  # complete lines before ``offset``
-
-
-def read_jsonl(fh: BinaryIO, end: JsonlEnd | None = None) -> Iterator[tuple[int, dict]]:
-    """``(line number, row)`` for each row of the JSONL store open as ``fh``.
-
-    Reading starts at ``end``, where an earlier read stopped (by default the
-    start of the file), and advances ``end`` past each complete line, so
-    afterwards it says where this read stopped; line numbers count from the
-    start of the file.  Blank lines are skipped.  A crash mid-append leaves
-    a final line without its newline that does not parse; it is skipped
-    with a warning, and the next :func:`append_jsonl` cuts it off.
-    Any other line that does not parse to an object raises
-    :class:`CorruptStoreError` naming ``path:line``.
-    """
-    end = end if end is not None else JsonlEnd()
-    fh.seek(end.offset)
-    for line in fh:
-        lineno = end.lines + 1
-        complete = line.endswith(b"\n")
-        row = _parse_row(line)
-        if row is None and not line.isspace():
-            if not complete:
-                warnings.warn(f"{fh.name}:{lineno}: skipping torn final line", stacklevel=2)
-                return
-            raise CorruptStoreError(f"{fh.name}:{lineno}: not a JSON object")
-        if complete:  # a final row without its newline is read again next time
-            end.offset += len(line)
-            end.lines = lineno
-        if row is not None:
-            yield lineno, row
-
-
-def is_string_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(t, str) for t in value)
+# Transcripts
 
 
 def _usable_transcript_row(row: dict) -> bool:
@@ -498,36 +441,6 @@ def _usable_transcript_row(row: dict) -> bool:
     else:
         typed = kind == "judge" and isinstance(response, str)
     return typed and isinstance(row.get("hash"), str)
-
-
-def append_jsonl(path: Path, rows: list[dict]) -> tuple[int, bytes] | None:
-    """Append ``rows`` to the JSONL store at ``path`` in one write, then close it.
-
-    The rows start on a fresh line of the file as it is now, even if
-    something else appended to it since: a torn final line (one that does
-    not parse) is cut off, and a whole row missing only its newline gets
-    one.  Callers serialize appends to one path.
-
-    Returns the file's size before the write and the bytes written there,
-    or None when the file's end was repaired first.
-    """
-    blob = "".join(_encode_row(row) + "\n" for row in rows).encode("utf-8")
-    with open(path, "a+b") as fh:
-        size = fh.seek(0, os.SEEK_END)
-        written = size, blob
-        if size:
-            fh.seek(size - 1)
-            if fh.read(1) != b"\n":
-                written = None
-                fh.seek(0)
-                data = fh.read()
-                start = data.rfind(b"\n") + 1
-                if _parse_row(data[start:]) is None:
-                    fh.truncate(start)  # the torn line read_jsonl skipped
-                else:
-                    blob = b"\n" + blob
-        fh.write(blob)
-    return written
 
 
 class RecordingBackend(Backend):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .corpus import Corpus, DistributionPair, Sample, load_corpus, save_corpus
+from .corpus import Corpus, DistributionPair, Sample, _iter_lines, load_corpus, save_corpus
 from .errors import MalformedRecordError, UnsatisfiablePredicateError
 from .pipeline import REPORT_FORMAT, Report, describe_pair, verify
 from .predicates import PREDICATES, get_predicate, parse_description
@@ -252,23 +252,22 @@ def load_suite(directory: str | Path) -> list[SyntheticTask]:
     if not manifest.exists():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
     tasks = []
-    with open(manifest, "r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            row = _manifest_row(line, line_number, manifest)
-            name = f"task-{row['task']:02d}"
-            d0 = load_corpus(directory / name / "d0.jsonl", name=f"{name}-d0")
-            d1 = load_corpus(directory / name / "d1.jsonl", name=f"{name}-d1")
-            tasks.append(
-                SyntheticTask(
-                    gold=row["gold"],
-                    q1=row["q1"],
-                    q0=row["q0"],
-                    pair=DistributionPair(d0=d0, d1=d1),
-                    seed=row["seed"],
-                )
+    for line_number, line in _iter_lines(manifest):
+        if not line.strip():
+            continue
+        row = _manifest_row(line, line_number, manifest)
+        name = f"task-{row['task']:02d}"
+        d0 = load_corpus(directory / name / "d0.jsonl", name=f"{name}-d0")
+        d1 = load_corpus(directory / name / "d1.jsonl", name=f"{name}-d1")
+        tasks.append(
+            SyntheticTask(
+                gold=row["gold"],
+                q1=row["q1"],
+                q0=row["q0"],
+                pair=DistributionPair(d0=d0, d1=d1),
+                seed=row["seed"],
             )
+        )
     if not tasks:
         raise FileNotFoundError(f"manifest in {directory} lists no tasks")
     return tasks

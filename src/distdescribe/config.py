@@ -12,6 +12,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .corpus import _iter_lines
 from .errors import ConfigError
 
 CONFIG_FORMAT = "distdescribe-config-v1"
@@ -189,13 +190,13 @@ def parse_config_file(path: str | Path) -> dict:
     """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = list(_iter_lines(path))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
 
     settings: dict = {}
     saw_header = False
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in lines:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -18,7 +18,8 @@ from .corpus import ClusteredCorpus, Corpus, DistributionPair, one_vs_rest
 from .discriminator import train
 from .errors import FewerThanTwoClustersError, PipelineAbortedError
 from .proposer import CandidateSet, Hypothesis, propose
-from .verifier import CAEstimate, JudgmentCache, Verifier
+from .store import JudgmentCache
+from .verifier import CAEstimate, Verifier
 
 REPORT_FORMAT = "distdescribe-report-v1"
 

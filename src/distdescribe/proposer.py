@@ -17,12 +17,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .backends import Backend, CompletionRequest, one_line
+from .backends import Backend, CompletionRequest, one_line, request_hash
 from .config import RunConfig
 from .corpus import Sample
 from .discriminator import Discriminator, select_percentile
 from .errors import AllCompletionsEmptyError, EmptySampleSetError
-from .verifier import JudgmentCache
+from .store import JudgmentCache
 
 INSTRUCTION = "Compared to group 0, each sentence from group 1"
 TOKEN_BUDGET = 2048
@@ -219,13 +219,14 @@ def propose(
             tasks.append((p, set_index, req))
 
     cache = cache if cache is not None else JudgmentCache()
-    found = {req: cache.get_completions(backend.id, req) for _, _, req in tasks}
+    stored = cache.path is not None  # only a store's rows need their keys hashed
+    keys = {req: cache.key(backend.id, request_hash(req)) if stored else None for *_, req in tasks}
+    found = {req: cache.get((backend.id, req), key) for req, key in keys.items()}
     misses = [req for req, completions in found.items() if completions is None]
     with ThreadPoolExecutor(max_workers=config.in_flight) as pool:
         sent = list(pool.map(backend.complete, misses))
-    for req, completions in zip(misses, sent):
-        found[req] = completions
-        cache.put_completions(backend.id, req, completions)
+    found.update(zip(misses, sent))
+    cache.put("completions", [((backend.id, req), keys[req], found[req]) for req in misses])
     cache.flush()
 
     hypotheses: list[Hypothesis] = []

@@ -12,46 +12,25 @@ cross-distribution pairs; small corpora are enumerated exhaustively.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
 import string
 import threading
-import zlib
 from collections import deque
-from dataclasses import asdict, dataclass, replace
-from itertools import chain, repeat
-from json.encoder import encode_basestring
-from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .backends import (
-    QUESTION_PREFIX,
-    Backend,
-    CompletionRequest,
-    JsonlEnd,
-    JudgmentRequest,
-    append_jsonl,
-    is_string_list,
-    one_line,
-    read_jsonl,
-    request_hash,
-)
+from .backends import QUESTION_PREFIX, Backend, JudgmentRequest, one_line
 from .corpus import DistributionPair, Sample
-from .errors import AuthError, BackendError, CorruptStoreError, ReplayMissError
+from .errors import AuthError, BackendError, ReplayMissError
+from .store import JudgmentCache
 
 ABSTAIN = 0.5
-_VALUES = (0.0, ABSTAIN, 1.0)
 
 
 # (backend id, description, text A, text B): what one directed judgment asks.
 Judgment = tuple[str, str, str, str]
-# (backend id, request): what one proposer completion request asks.
-Completion = tuple[str, CompletionRequest]
-# (judgment, (sample A, sample B), row key or None, answer, value): one new judgment.
-NewJudgment = tuple[Judgment, tuple[Sample, Sample], str | None, str, float]
 
 
 def _question(s: str) -> str:
@@ -105,288 +84,6 @@ def _answer_value(answer: str) -> float:
     if first == "no":
         return 0.0
     return ABSTAIN
-
-
-def _hold(row: dict, values: dict[str, float], completions: dict[str, list[str]]) -> None:
-    """File a store row under its key: a completion row's completions, else its value."""
-    if "completions" in row:
-        completions[row["key"]] = row["completions"]
-    else:
-        values[row["key"]] = row["value"]
-
-
-def _usable_row(row: dict) -> bool:
-    if "completions" in row:
-        typed = is_string_list(row["completions"])
-    else:
-        value = row.get("value")
-        typed = value in _VALUES and not isinstance(value, bool)
-    return typed and isinstance(row.get("key"), str)
-
-
-@dataclass
-class _StoreIndex:
-    """The usable rows of one store file, as far as they have been read."""
-
-    file: tuple[int, int]  # (st_dev, st_ino)
-    end: JsonlEnd
-    crc: int  # zlib.crc32 of the file's bytes before end.offset
-    values: dict[str, float]  # judgment row key -> value
-    completions: dict[str, list[str]]  # completion row key -> completions
-
-
-# The most recently opened store, so reopening it reads only the rows
-# appended since.  One store at a time: opening another releases it.
-_index: _StoreIndex | None = None
-_index_lock = threading.Lock()
-
-
-def _crc(fh, start: int, stop: int, crc: int = 0) -> int:
-    """``crc`` extended over the bytes of ``fh`` from ``start`` up to ``stop``."""
-    fh.seek(start)
-    while start < stop:
-        chunk = fh.read(min(stop - start, 1 << 16))
-        if not chunk:
-            break
-        crc = zlib.crc32(chunk, crc)
-        start += len(chunk)
-    return crc
-
-
-def _read_store(path: Path) -> _StoreIndex:
-    """The rows of the store at ``path``, each row decoded once per process.
-
-    Reuses the rows read at an earlier open when the file is the same one
-    (device and inode) and its bytes up to where that read stopped are
-    unchanged (length and CRC-32), and reads only what follows; otherwise
-    it releases the held rows and reads the file from its first byte.
-    """
-    global _index
-    with _index_lock:
-        index, _index = _index, None  # held again once this read succeeds
-        with open(path, "rb") as fh:
-            stat = os.fstat(fh.fileno())
-            file = (stat.st_dev, stat.st_ino)
-            if (
-                index is None
-                or index.file != file
-                or stat.st_size < index.end.offset
-                or _crc(fh, 0, index.end.offset) != index.crc
-            ):
-                index = _StoreIndex(file, JsonlEnd(), 0, {}, {})  # drops the rows held before
-            end = replace(index.end)
-            fresh: dict[str, float] = {}
-            fresh_completions: dict[str, list[str]] = {}
-            # Checked once read, not row by row: decoding is most of a read.
-            try:
-                for _, row in read_jsonl(fh, end):
-                    _hold(row, fresh, fresh_completions)
-                usable = (
-                    set(fresh.values()).issubset(_VALUES)
-                    and bool not in set(map(type, fresh.values()))  # True == 1.0
-                    and {str}.issuperset(map(type, chain(fresh, fresh_completions)))
-                    and all(map(is_string_list, fresh_completions.values()))
-                )
-            except (KeyError, TypeError):
-                usable = False
-            if not usable:
-                rows = read_jsonl(fh, replace(index.end))
-                lineno = next(n for n, row in rows if not _usable_row(row))
-                raise CorruptStoreError(
-                    f'{path}:{lineno}: a row needs a "key" and a "value" of 0, 0.5 or 1,'
-                    ' or "completions" that are a list of strings'
-                )
-            index.crc = _crc(fh, index.end.offset, end.offset, index.crc)
-            index.end = end
-            if index.values or index.completions:
-                index.values.update(fresh)
-                index.completions.update(fresh_completions)
-            else:  # a full read: no copy
-                index.values, index.completions = fresh, fresh_completions
-            _index = index
-            return index
-
-
-def _index_appended(index: _StoreIndex, rows: list[dict], size: int, blob: bytes) -> None:
-    """Add ``rows``, appended as ``blob`` at ``size``, to ``index`` if it ends there.
-
-    Otherwise the index is left as it is, and the next open reads the rows
-    as it reads those of any other writer.
-    """
-    with _index_lock:
-        if _index is not index or index.end.offset != size:
-            return
-        index.crc = zlib.crc32(blob, index.crc)
-        index.end = JsonlEnd(size + len(blob), index.end.lines + len(rows))
-        for row in rows:
-            _hold(row, index.values, index.completions)
-
-
-def _key_json(encoded: Iterable[str], opens: bool = True, closes: bool = True) -> str:
-    """The JSON array of the JSON string literals ``encoded``, the text a row key hashes.
-
-    Its bytes are those of ``json.dumps(parts, ensure_ascii=False)``, which
-    fix the store's row keys, without building an encoder per call.  Without
-    ``opens`` the leading "[" is left out, and without ``closes`` the closing
-    "]" becomes the ", " before one more part, so a key's text can be built
-    from a prefix and a tail.
-    """
-    return ("[" if opens else "") + ", ".join(encoded) + ("]" if closes else ", ")
-
-
-class JudgmentCache:
-    """In-memory judgment and completion memo with an optional append-only jsonl store.
-
-    Judgments are memoized by the :data:`Judgment` tuple itself, and a
-    proposer's completions by the :data:`Completion` tuple, (backend id,
-    request).  The sha256 :meth:`key` is computed only to write a row to the
-    store and to look up rows loaded from the store, and at most once per
-    new judgment.  :meth:`lookup` builds the keys of many judgments from
-    each text's JSON encoding, computed once per call, with the bytes
-    :meth:`key` hashes.  A judgment row holds its ``value``, a completion row its
-    ``completions``.  Store rows are checked once loaded: a row without a
-    ``key``, with a loaded value other than 0, 0.5 or 1, or with
-    completions that are not a list of strings, raises
-    :class:`CorruptStoreError`.
-
-    The store is created when the cache is built, so a store that cannot be
-    written fails before any request is sent.  :meth:`put` and
-    :meth:`put_completions` only record new results in memory and queue
-    their rows; :meth:`flush` appends the queued rows in one write.
-    ``propose`` flushes its completions, and :meth:`Verifier.estimate_cas`
-    flushes each description's rows once its last new judgment is answered,
-    so each description's rows reach the store together, and a process
-    killed while descriptions are being judged loses only their new rows.
-    No file is held open between writes.
-
-    A process holds the rows of one store, the one opened last, and
-    decodes each row once: opening that store again reads only the rows
-    appended since, and the rows this process appended itself are taken
-    without reading them back.  A store rewritten, truncated or replaced
-    since it was read is read again from its start, and opening another
-    store releases the rows held.  So only a process that opens a store
-    more than once, as ``run_bench`` does per task, gains; a single
-    describe reads its store once either way.
-    """
-
-    def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path is not None else None
-        self._memo: dict[Judgment, float] = {}
-        self._completion_memo: dict[Completion, list[str]] = {}
-        self._index: _StoreIndex | None = None
-        self._stored: dict[str, float] = {}
-        self._stored_completions: dict[str, list[str]] = {}
-        if self.path is not None:
-            open(self.path, "ab").close()  # creates it; an unwritable path fails before judging
-            self._index = _read_store(self.path)
-            self._stored, self._stored_completions = self._index.values, self._index.completions
-        self._lock = threading.Lock()
-        self._pending: list[dict] = []  # rows not yet written to the store
-        self._write_lock = threading.Lock()
-
-    @staticmethod
-    def key(*parts: str) -> str:
-        """The row key of the strings ``parts``.
-
-        A judgment's parts are (backend id, description, text A, text B), a
-        completion's (backend id, ``request_hash`` of its request).
-        """
-        blob = _key_json(map(encode_basestring, parts))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    def lookup(
-        self, backend_id: str, descriptions: Sequence[str], texts: Sequence[tuple[str, str]]
-    ) -> Iterator[tuple[list[float | None], list[str] | None]]:
-        """Per description, the cached value of each (text A, text B) judgment or None.
-
-        Each is yielded with the judgments' row keys, or None when no store
-        rows are loaded: then nothing is hashed.  Pass a new judgment's key
-        on to :meth:`put`, so it is hashed once.
-        """
-        # Single dict reads are atomic; only put() needs the lock.
-        memo, stored = self._memo, self._stored
-        keys = _row_keys(backend_id, descriptions, texts) if stored else repeat(None)
-        for s, row_keys in zip(descriptions, keys):
-            if memo:
-                values = [memo.get((backend_id, s, a, b)) for a, b in texts]
-            else:
-                values = [None] * len(texts)
-            if row_keys is not None:
-                values = [stored.get(k) if v is None else v for v, k in zip(values, row_keys)]
-            yield values, row_keys
-
-    def put(self, new: Iterable[NewJudgment]) -> None:
-        """Record new judgments and queue their store rows."""
-        with self._lock:
-            for judgment, (a, b), key, answer, value in new:
-                if judgment in self._memo:
-                    continue
-                self._memo[judgment] = value
-                if self.path is None:
-                    continue
-                if key is None:
-                    key = self.key(*judgment)
-                if key not in self._stored:
-                    row = {
-                        "key": key,
-                        "s": judgment[1],
-                        "a_id": a.id,
-                        "b_id": b.id,
-                        "answer": answer,
-                        "value": value,
-                    }
-                    self._pending.append(row)
-
-    def get_completions(self, backend_id: str, req: CompletionRequest) -> list[str] | None:
-        """The cached completions of ``req`` sent to the backend ``backend_id``, or None."""
-        found = self._completion_memo.get((backend_id, req))
-        if found is None and self._stored_completions:
-            found = self._stored_completions.get(self.key(backend_id, request_hash(req)))
-        return found
-
-    def put_completions(
-        self, backend_id: str, req: CompletionRequest, completions: list[str]
-    ) -> None:
-        with self._lock:
-            if (backend_id, req) in self._completion_memo:
-                return
-            self._completion_memo[backend_id, req] = completions
-            if self.path is None:
-                return
-            key = self.key(backend_id, request_hash(req))
-            if key not in self._stored_completions:
-                self._pending.append({"key": key, "completions": completions})
-
-    def flush(self) -> None:
-        """Append the rows queued since the last flush to the store, in one write."""
-        with self._write_lock:  # one append at a time, in the order rows were taken
-            with self._lock:
-                rows, self._pending = self._pending, []
-            if rows:
-                written = append_jsonl(self.path, rows)
-                if written is not None:
-                    _index_appended(self._index, rows, *written)
-
-    def close(self) -> None:
-        """Write the rows still queued: those of :meth:`Verifier.judge` calls made alone."""
-        self.flush()
-
-
-def _row_keys(
-    backend_id: str, descriptions: Sequence[str], texts: Sequence[tuple[str, str]]
-) -> Iterator[list[str]]:
-    """Per description s, ``JudgmentCache.key(backend_id, s, a, b)`` of each (a, b) in ``texts``.
-
-    Each text and each (backend id, description) prefix is JSON-encoded
-    once, not once per judgment.
-    """
-    encoded = {t: encode_basestring(t) for t in set(chain.from_iterable(texts))}
-    tails = [_key_json((encoded[a], encoded[b]), opens=False).encode("utf-8") for a, b in texts]
-    head = encode_basestring(backend_id)
-    sha256 = hashlib.sha256
-    for s in descriptions:
-        prefix = _key_json((head, encode_basestring(s)), closes=False).encode("utf-8")
-        yield [sha256(prefix + tail).hexdigest() for tail in tails]
 
 
 class _Misses:
@@ -530,17 +227,13 @@ class Verifier:
         errors: list[BaseException] = []
 
         def finish(d: int) -> None:
-            self.cache.put(
-                (
-                    misses.judgments[i],
-                    directed[misses.positions[i]],
-                    misses.keys[i],
-                    answers[i],
-                    answer_values[i],
-                )
-                for i in owned[d]
-                if answers[i] is not None
-            )
+            s, judgments, keys = descriptions[d], misses.judgments, misses.keys
+            new = []
+            for i in owned[d]:
+                if answers[i] is not None:
+                    a, b = directed[misses.positions[i]]
+                    new.append((judgments[i], keys[i], answer_values[i], s, a.id, b.id, answers[i]))
+            self.cache.put("value", new)
             if flush:
                 self.cache.flush()
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from distdescribe import backends
+from distdescribe import store
 from distdescribe.bench import generate_task
 from distdescribe.corpus import Corpus, DistributionPair, Sample, save_corpus
 
@@ -58,7 +58,7 @@ def zebra_task_files(tmp_path):
 def decoded(monkeypatch):
     """How often each store line was decoded to a row, by its bytes."""
     counts = Counter()
-    parse = backends._parse_row
+    parse = store._parse_row
 
     def counting(line):
         row = parse(line)
@@ -66,7 +66,7 @@ def decoded(monkeypatch):
             counts[line] += 1
         return row
 
-    monkeypatch.setattr(backends, "_parse_row", counting)
+    monkeypatch.setattr(store, "_parse_row", counting)
     return counts
 
 

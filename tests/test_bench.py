@@ -155,6 +155,14 @@ def test_save_load_suite_round_trip(tmp_path):
         ]
 
 
+def test_load_suite_drops_a_byte_order_mark(tmp_path):
+    tasks = default_suite(task_count=2, n_per_side=15, seed=2)
+    save_suite(tasks, tmp_path / "suite")
+    manifest = tmp_path / "suite" / "manifest.jsonl"
+    manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+    assert [t.gold for t in load_suite(tmp_path / "suite")] == [t.gold for t in tasks]
+
+
 def test_run_bench_recovers_gold_on_noiseless_tasks():
     tasks = default_suite(task_count=4, n_per_side=60, seed=1)
     report = run_bench(tasks, RunConfig())

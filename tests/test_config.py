@@ -148,6 +148,20 @@ def test_parse_config_file_requires_header(tmp_path):
         parse_config_file(_write_config(tmp_path, "seed = 3", header=None))
 
 
+def test_parse_config_file_drops_a_byte_order_mark(tmp_path):
+    path = _write_config(tmp_path, "seed = 3", header="\ufeff" + CONFIG_FORMAT)
+    assert parse_config_file(path)["seed"] == 3
+
+
+def test_parse_config_file_splits_lines_only_at_newlines(tmp_path):
+    # U+2028 is a line boundary to str.splitlines, not to a text file.
+    path = _write_config(tmp_path, "seed = 3\n\nproposer.model = a\u2028b\nsede = 3")
+    with pytest.raises(ConfigError, match=r"run\.conf:5: unknown key 'sede'"):
+        parse_config_file(path)
+    path = _write_config(tmp_path, "seed = 3\n\nproposer.model = a\u2028b\n")
+    assert parse_config_file(path)["proposer_endpoint"]["model"] == "a\u2028b"
+
+
 def test_parse_config_file_unknown_key(tmp_path):
     with pytest.raises(ConfigError) as excinfo:
         parse_config_file(_write_config(tmp_path, "sede = 3"))

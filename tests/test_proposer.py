@@ -27,7 +27,7 @@ from distdescribe.proposer import (
     propose,
     token_estimate,
 )
-from distdescribe.verifier import JudgmentCache
+from distdescribe.store import JudgmentCache
 
 from conftest import make_pair
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import json
@@ -21,21 +22,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distdescribe import verifier as verifier_module
-from distdescribe.backends import Backend, CompletionRequest, RuleBackend, append_jsonl
+from distdescribe import backends
+from distdescribe import store as store_module
+from distdescribe.backends import Backend, CompletionRequest, RuleBackend, request_hash
 from distdescribe.bench import default_suite, generate_task, run_bench
 from distdescribe.config import RunConfig
 from distdescribe.corpus import DistributionPair, Sample
 from distdescribe.errors import AuthError, CorruptStoreError, ProviderError, ReplayMissError
 from distdescribe.pipeline import describe_pair, report_json, verify
 from distdescribe.predicates import PREDICATES, get_predicate
-from distdescribe.verifier import (
-    ABSTAIN,
-    JudgmentCache,
-    Verifier,
-    _answer_value,
-    build_question,
-)
+from distdescribe.store import JudgmentCache, append_jsonl
+from distdescribe.verifier import ABSTAIN, Verifier, _answer_value, build_question
 
 from conftest import make_pair
 
@@ -434,6 +431,9 @@ def test_judgment_cache_rejects_corruption_mid_file(tmp_path):
         {"key": "k", "value": "yes"},
         {"key": "k", "value": 2},
         {"key": "k", "value": [1]},
+        {"key": "k", "completions": "x"},
+        {"key": "k", "completions": [1]},
+        {"key": "k", "value": ["a"]},  # a completions payload under a judgment's field
     ],
 )
 def test_judgment_cache_rejects_unusable_row(tmp_path, row):
@@ -644,14 +644,15 @@ def test_threads_reopening_one_store_decode_each_row_once(tmp_path, decoded):
 
 @pytest.fixture
 def sha256_calls(monkeypatch):
-    """The sha256 hashes the verifier module starts, counted."""
+    """The sha256 hashes the store and backends modules start, counted."""
     calls = []
 
     def counting(data=b""):
         calls.append(data)
         return hashlib.sha256(data)
 
-    monkeypatch.setattr(verifier_module, "hashlib", types.SimpleNamespace(sha256=counting))
+    for module in (store_module, backends):
+        monkeypatch.setattr(module, "hashlib", types.SimpleNamespace(sha256=counting))
     return calls
 
 
@@ -661,6 +662,9 @@ def test_memo_without_store_never_hashes(sha256_calls):
     est = verifier.estimate_ca(QUESTION, task.pair, n_pairs=300, seed=1)
     assert est.n_pairs == 300
     assert verifier.judgment_count == 600
+    # A whole describe: the proposer's completions as well as the judgments.
+    report = describe_pair(task.pair, RunConfig(n_pairs=50))
+    assert report.candidate_count > 1
     assert sha256_calls == []
 
 
@@ -824,7 +828,7 @@ def appends(monkeypatch):
         calls.append(list(rows))
         append_jsonl(path, rows)
 
-    monkeypatch.setattr(verifier_module, "append_jsonl", counting)
+    monkeypatch.setattr(store_module, "append_jsonl", counting)
     return calls
 
 
@@ -887,7 +891,7 @@ def test_put_does_no_file_io(tmp_path, monkeypatch):
     def no_io(path, rows):
         raise AssertionError("a row was written outside a flush")
 
-    monkeypatch.setattr(verifier_module, "append_jsonl", no_io)
+    monkeypatch.setattr(store_module, "append_jsonl", no_io)
     path = tmp_path / "c.jsonl"
     cache = JudgmentCache(path)
     a, b = _sample("a?", "x:0"), _sample("b", "y:0")
@@ -950,7 +954,7 @@ def test_flushes_racing_opens_leave_the_store_index_as_a_full_read(
         sys.setswitchinterval(interval)
     assert set(decoded.values()) <= {1}
     held = JudgmentCache(path)
-    monkeypatch.setattr(verifier_module, "_index", None)  # the next open reads the whole file
+    monkeypatch.setattr(store_module, "_index", None)  # the next open reads the whole file
     full = JudgmentCache(path)
     for a, b in pairs:
         assert _stored(held, a.text, b.text) == _stored(full, a.text, b.text) == 1.0
@@ -988,7 +992,7 @@ _awkward_text = st.one_of(
     texts=st.lists(st.tuples(_awkward_text, _awkward_text), min_size=1, max_size=4),
 )
 def test_batch_lookup_keys_equal_the_judgment_key(backend_id, descriptions, texts):
-    keys = list(verifier_module._row_keys(backend_id, descriptions, texts))
+    keys = list(store_module._row_keys(backend_id, descriptions, texts))
     assert keys == [[JudgmentCache.key(backend_id, s, a, b) for a, b in texts] for s in descriptions]
 
 
@@ -1041,11 +1045,36 @@ def test_completions_miss_on_another_backend_or_any_other_request_field(tmp_path
     }
     assert set(changed) == {field.name for field in dataclasses.fields(CompletionRequest)}
     written = JudgmentCache(store)
-    written.put_completions(RuleBackend.id, req, ["is longer", "is shorter"])
+    key = JudgmentCache.key(RuleBackend.id, request_hash(req))
+    written.put("completions", [((RuleBackend.id, req), key, ["is longer", "is shorter"])])
     written.close()
     for cache in (written, JudgmentCache(store)):  # the memo, then the store
-        assert cache.get_completions(RuleBackend.id, req) == ["is longer", "is shorter"]
-        assert cache.get_completions("http:chat:model", req) is None
+        assert _completions(cache, RuleBackend.id, req) == ["is longer", "is shorter"]
+        assert _completions(cache, "http:chat:model", req) is None
         for field, value in changed.items():
             other = dataclasses.replace(req, **{field: value})
-            assert cache.get_completions(RuleBackend.id, other) is None
+            assert _completions(cache, RuleBackend.id, other) is None
+
+
+def _completions(cache, backend_id, req):
+    """The cached completions of ``req`` sent to ``backend_id``, looked up as ``propose`` does."""
+    return cache.get((backend_id, req), JudgmentCache.key(backend_id, request_hash(req)))
+
+
+def test_store_imports_no_distdescribe_module_but_errors():
+    # The store's file format stays in one module: the verifier and the
+    # backends use it, and it uses neither.
+    tree = ast.parse(Path(store_module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            package = "distdescribe." if node.level else ""
+            module = (package + (node.module or "")).rstrip(".")
+            if module == "distdescribe":  # from . import x
+                imported.update(f"{module}.{alias.name}" for alias in node.names)
+            else:
+                imported.add(module)
+    ours = {name for name in imported if name.split(".")[0] == "distdescribe"}
+    assert ours == {"distdescribe.errors"}
