@@ -221,7 +221,7 @@ def propose(
     cache = cache if cache is not None else JudgmentCache()
     stored = cache.path is not None  # only a store's rows need their keys hashed
     keys = {req: cache.key(backend.id, request_hash(req)) if stored else None for *_, req in tasks}
-    found = {req: cache.get((backend.id, req), key) for req, key in keys.items()}
+    found = {req: cache.get("completions", (backend.id, req), key) for req, key in keys.items()}
     misses = [req for req, completions in found.items() if completions is None]
     with ThreadPoolExecutor(max_workers=config.in_flight) as pool:
         sent = list(pool.map(backend.complete, misses))

@@ -230,9 +230,9 @@ def _key_json(encoded: Iterable[str], opens: bool = True, closes: bool = True) -
 class JudgmentCache:
     """In-memory result memo with an optional append-only jsonl store.
 
-    Every row kind of :data:`ROW_KINDS` is cached the same way: in one memo,
-    keyed by what the result answers, and in one dict of the store's rows,
-    keyed by the sha256 row :meth:`key`.  A judgment is memoized by its
+    Every row kind of :data:`ROW_KINDS` is cached the same way: in the
+    kind's memo, keyed by what the result answers, and in one dict of the
+    store's rows, keyed by the sha256 row :meth:`key`.  A judgment is memoized by its
     (backend id, description, text A, text B), a proposer's completions by
     (backend id, request).  A row key is computed only to write a row or to
     look up the store's rows, and at most once per new result;
@@ -255,7 +255,9 @@ class JudgmentCache:
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
-        self._memo: dict[Hashable, object] = {}
+        # A memo per row kind: a describe's completions leave the judgments'
+        # memo empty, so the first lookup() of a fresh cache skips it.
+        self._memo: dict[str, dict[Hashable, object]] = {field: {} for field in ROW_KINDS}
         self._index: _StoreIndex | None = None
         self._stored: dict[str, object] = {}
         if self.path is not None:
@@ -276,9 +278,9 @@ class JudgmentCache:
         blob = _key_json(map(encode_basestring, parts))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def get(self, memo_key: Hashable, key: str | None) -> object | None:
-        """The result memoized under ``memo_key``, else stored under ``key`` if given, or None."""
-        found = self._memo.get(memo_key)
+    def get(self, field: str, memo_key: Hashable, key: str | None) -> object | None:
+        """The result of kind ``field`` memoized under ``memo_key``, else stored under ``key``."""
+        found = self._memo[field].get(memo_key)
         if found is None and key is not None:
             found = self._stored.get(key)
         return found
@@ -293,7 +295,7 @@ class JudgmentCache:
         on to :meth:`put`, so it is hashed once.
         """
         # Single dict reads are atomic; only put() needs the lock.
-        memo, stored = self._memo, self._stored
+        memo, stored = self._memo["value"], self._stored
         keys = _row_keys(backend_id, descriptions, texts) if stored else repeat(None)
         for s, row_keys in zip(descriptions, keys):
             if memo:
@@ -315,7 +317,7 @@ class JudgmentCache:
         fields = ROW_KINDS[field][1]
         store = self.path is not None
         with self._lock:
-            memo = self._memo
+            memo = self._memo[field]
             for new_result in new:
                 memo_key = new_result[0]
                 if memo_key in memo:

@@ -1058,7 +1058,8 @@ def test_completions_miss_on_another_backend_or_any_other_request_field(tmp_path
 
 def _completions(cache, backend_id, req):
     """The cached completions of ``req`` sent to ``backend_id``, looked up as ``propose`` does."""
-    return cache.get((backend_id, req), JudgmentCache.key(backend_id, request_hash(req)))
+    key = JudgmentCache.key(backend_id, request_hash(req))
+    return cache.get("completions", (backend_id, req), key)
 
 
 def test_store_imports_no_distdescribe_module_but_errors():
