@@ -10,11 +10,11 @@ sample is ranked by a model that never saw it.
 
 from __future__ import annotations
 
-import functools
 import math
-from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import chain, count
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -36,28 +36,124 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def feature_index(token: str) -> int:
-    # Memoized: one FNV-1a pass per distinct token or bigram of a pair, not
-    # per occurrence; :func:`train` empties the memo when it is done.
-    return _fnv1a64(token.encode("utf-8")) % FEATURE_SPACE
+def feature_index(gram: str) -> int:
+    """The hashed feature index of one unigram or "_"-joined bigram."""
+    return _fnv1a64(gram.encode("utf-8")) % FEATURE_SPACE
+
+
+def _int_type(limit: int) -> type:
+    """int32 when every value is below ``limit``, else int64."""
+    return np.int32 if limit <= np.iinfo(np.int32).max else np.int64
+
+
+def _tokenize(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Dense ids of every text's lowercased tokens, one text after another.
+
+    Returns the ids, each text's token count, and the tokens by id.  Texts
+    are split one at a time, so no text's token list outlives its turn.
+    """
+    ids: defaultdict[str, int] = defaultdict(count().__next__)  # a new token gets the next id
+    lengths = []
+
+    def split(text: str) -> list[str]:
+        words = text.lower().split()
+        lengths.append(len(words))
+        return words
+
+    tokens = map(ids.__getitem__, chain.from_iterable(map(split, texts)))
+    token_ids = np.fromiter(tokens, dtype=np.int32)
+    return token_ids, np.array(lengths, dtype=np.int32), list(ids)
+
+
+def _gram_features(texts: Sequence[str]) -> tuple[np.ndarray, ...]:
+    """The distinct features of ``texts`` and the feature of every n-gram occurrence.
+
+    Returns ``(lengths, features, unigrams, bigrams, has_bigram)``: each
+    text's token count; the distinct feature indices, ascending; each
+    token's position in ``features``; the same for the bigram each token
+    starts, in token order; and which tokens start one (all but a text's
+    last).  Each distinct token and each distinct bigram string is hashed
+    once.
+    """
+    token_ids, lengths, vocab = _tokenize(texts)
+    has_bigram = np.ones(len(token_ids), dtype=bool)
+    has_bigram[np.cumsum(lengths)[lengths > 0] - 1] = False
+    pairs = token_ids[has_bigram].astype(_int_type(len(vocab) ** 2)) * len(vocab)
+    pairs += token_ids[1:][has_bigram[:-1]]
+    distinct, bigram_of = np.unique(pairs, return_inverse=True)
+    left, right = (half.tolist() for half in np.divmod(distinct, len(vocab)))
+    strings = [f"{vocab[a]}_{vocab[b]}" for a, b in zip(left, right)]
+    # Distinct bigrams can share a string: "a_b c" and "a b_c" both give "a_b_c".
+    hashed = {gram: feature_index(gram) for gram in dict.fromkeys(strings)}
+    grams = [feature_index(token) for token in vocab] + [hashed[gram] for gram in strings]
+    features, local = np.unique(np.array(grams, dtype=np.int64), return_inverse=True)
+    local = local.astype(_int_type(len(features)))
+    return lengths, features, local[token_ids], local[len(vocab) :][bigram_of], has_bigram
+
+
+def _occurrence_keys(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct features, and one key per n-gram occurrence in entry order.
+
+    A key is text * width + the feature's position in ``features``.  Text
+    t's occurrences are its unigrams, then its bigrams: they fill slots
+    [2 * start, 2 * end) of its token span but the last, which stays empty.
+    """
+    lengths, features, unigrams, bigrams, has_bigram = _gram_features(texts)
+    n, width = len(lengths), len(features)
+    ends = np.cumsum(lengths, dtype=_int_type(2 * len(unigrams)))
+    text_of = np.repeat(np.arange(n, dtype=np.int32), lengths)
+    base = text_of.astype(_int_type(n * width)) * width
+    slot = np.arange(len(unigrams), dtype=ends.dtype) + (ends - lengths)[text_of]
+    slots = np.full(2 * len(unigrams), -1, dtype=base.dtype)
+    slots[slot] = base + unigrams
+    slot += lengths[text_of]
+    slots[slot[has_bigram]] = base[has_bigram] + bigrams
+    return features, slots[slots >= 0]
+
+
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each distinct key first occurs, and how often it occurs, counted there."""
+    # A stable sort keeps each run of equal keys in occurrence order.  Every
+    # temporary is dropped once used: this is the peak of a fit's memory.
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    bounds = np.ones(len(keys) + 1, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=bounds[1:-1])
+    del ordered
+    bounds = np.flatnonzero(bounds)
+    first = order[bounds[:-1]]
+    del order
+    counts = np.zeros(len(keys), dtype=np.int32)
+    counts[first] = np.diff(bounds)
+    del bounds
+    is_first = np.zeros(len(keys), dtype=bool)
+    is_first[first] = True
+    return is_first, counts
+
+
+def featurize_all(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Hashed counts of lowercased unigrams and adjacent bigrams of every text.
+
+    Tokenization is whitespace splitting; bigrams are joined with "_".
+    Returns ``(features, sample, local, counts)``: the distinct feature
+    indices in ascending order, then one entry per (text, feature) with the
+    text's position, the feature's position in ``features`` and its count.
+    A text's entries are its unigrams, then its bigrams, each at its first
+    occurrence, with repeats and hash collisions merged into that entry.
+    """
+    features, keys = _occurrence_keys(texts)
+    is_first, counts = _first_occurrences(keys)
+    sample, local = np.divmod(keys[is_first], max(len(features), 1))
+    return features, sample, local, counts[is_first]
 
 
 def featurize(text: str) -> dict[int, int]:
-    """Hashed counts of lowercased unigrams and adjacent bigrams.
+    """Hashed counts of one text, as :func:`featurize_all` counts it.
 
-    Tokenization is whitespace splitting; bigrams are joined with "_".
     Empty text maps to an empty vector.
     """
-    tokens = text.lower().split()
-    vector: dict[int, int] = {}
-    for token in tokens:
-        index = feature_index(token)
-        vector[index] = vector.get(index, 0) + 1
-    for left, right in zip(tokens, tokens[1:]):
-        index = feature_index(f"{left}_{right}")
-        vector[index] = vector.get(index, 0) + 1
-    return vector
+    features, _, local, counts = featurize_all([text])
+    return dict(zip(features[local].tolist(), counts.tolist()))
 
 
 K_FOLDS = 5
@@ -125,8 +221,8 @@ def train(pair: DistributionPair) -> Discriminator:
 
     A sample's fold is its position within its side mod ``K_FOLDS``.  Each
     sample is scored by the fit on the other folds, so no stored score comes
-    from a model that saw its sample.  Every sample of both sides is
-    featurized once, and each side is ranked once.
+    from a model that saw its sample.  Both sides are featurized in one
+    :func:`featurize_all` call, and each side is ranked once.
     """
     if len(pair.d0) < 2 or len(pair.d1) < 2:
         raise DegenerateDataError(
@@ -134,39 +230,27 @@ def train(pair: DistributionPair) -> Discriminator:
         )
 
     sides = (pair.d0, pair.d1)
-    indices, counts, lengths = array("i"), array("i"), array("i")
-    for corpus in sides:
-        for sample in corpus.samples:
-            vector = featurize(sample.text)
-            # fromlist copies at C speed; extend() from a dict view goes item by item.
-            indices.fromlist(list(vector))
-            counts.fromlist(list(vector.values()))
-            lengths.append(len(vector))
-    # The token memo serves one fit; emptied, it holds no memory between describes.
-    feature_index.cache_clear()
-
-    lengths = np.frombuffer(lengths, dtype=np.intc)
-    counts = np.frombuffer(counts, dtype=np.intc)
-    features, local = np.unique(np.frombuffer(indices, dtype=np.intc), return_inverse=True)
+    features, sample, local, counts = featurize_all(
+        [s.text for corpus in sides for s in corpus.samples]
+    )
     width = len(features)
-    folds = np.concatenate([np.arange(len(corpus)) % K_FOLDS for corpus in sides])
-    groups = np.repeat([0, K_FOLDS], [len(pair.d0), len(pair.d1)]) + folds  # side*K + fold
+    folds = np.concatenate(
+        [np.arange(len(corpus), dtype=np.int32) % K_FOLDS for corpus in sides]
+    )
+    groups = np.repeat(np.array([0, K_FOLDS], dtype=np.int32), [len(pair.d0), len(pair.d1)])
+    groups += folds  # side*K + fold
 
     by_fold = np.bincount(
-        np.repeat(groups, lengths) * width + local,
-        weights=counts,
-        minlength=2 * K_FOLDS * width,
+        groups[sample] * width + local, weights=counts, minlength=2 * K_FOLDS * width
     )
     ratios = _log_count_ratios(_fit_totals(by_fold.reshape(2, K_FOLDS, width)))
     sizes = _fit_totals(np.bincount(groups, minlength=2 * K_FOLDS).reshape(2, K_FOLDS))
     biases = np.log(sizes[1] / sizes[0])
 
     # Sample i is scored by fit folds[i], the one that left its fold out.
-    scores = biases[folds] + np.bincount(
-        np.repeat(np.arange(len(lengths)), lengths),
-        weights=counts * ratios[np.repeat(folds, lengths), local],
-        minlength=len(lengths),
-    )
+    weights = ratios[folds[sample], local]
+    weights *= counts
+    scores = biases[folds] + np.bincount(sample, weights=weights, minlength=len(folds))
     values = iter(scores.tolist())
     by_side = tuple({s.id: next(values) for s in corpus.samples} for corpus in sides)
     ranked = tuple(

@@ -8,7 +8,10 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import distdescribe.discriminator as discriminator
 from distdescribe.bench import generate_task
 from distdescribe.cli import main
 from distdescribe.config import CONFIG_FORMAT, parse_config_file
@@ -19,6 +22,7 @@ from distdescribe.discriminator import (
     Discriminator,
     confidence,
     featurize,
+    featurize_all,
     held_out_accuracy,
     select_percentile,
     train,
@@ -34,6 +38,90 @@ def _separable_pair(n=100):
     d1 = [f"the zebra walked past point {i}" for i in range(n)]
     d0 = [f"the horse walked past point {i}" for i in range(n)]
     return make_pair(d0, d1)
+
+
+def _reference_featurize(text):
+    """The plain per-text featurizer: one dict update per token and bigram occurrence."""
+    tokens = text.lower().split()
+    vector = {}
+    for gram in tokens + [f"{left}_{right}" for left, right in zip(tokens, tokens[1:])]:
+        index = discriminator._fnv1a64(gram.encode("utf-8")) % discriminator.FEATURE_SPACE
+        vector[index] = vector.get(index, 0) + 1
+    return vector
+
+
+def _entries_by_text(texts):
+    """featurize_all's entries as one ordered (feature index, count) list per text."""
+    features, sample, local, counts = featurize_all(texts)
+    by_text = [[] for _ in texts]
+    for i, index, count in zip(sample.tolist(), features[local].tolist(), counts.tolist()):
+        by_text[i].append((index, count))
+    return by_text
+
+
+# Few distinct tokens, so lists repeat tokens and bigrams; "İ" lowercases to
+# two code points; "\xa0" and "\u2028" are whitespace to str.split.
+_gram_text = st.text(alphabet=st.sampled_from("ab_ İ\n\t\xa0\u2028A"), max_size=14)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(texts=st.lists(_gram_text, max_size=6))
+@example(texts=[" ", "\n", "\t", " \t\n "])
+@example(texts=["İ", "İİ i̇", "Straße STRASSE"])
+@example(texts=["a_b c", "a b_c", "a_b c a b_c"])
+@example(texts=["go go go go", "to be or not to be", "x y x y x y"])
+@example(texts=[])
+def test_featurize_all_matches_reference_in_entry_order(texts):
+    expected = [list(_reference_featurize(text).items()) for text in texts]
+    assert _entries_by_text(texts) == expected
+    for text, entries in zip(texts, expected):
+        assert list(featurize(text).items()) == entries
+
+
+def test_featurize_all_merges_hash_collisions(monkeypatch):
+    monkeypatch.setattr(discriminator, "FEATURE_SPACE", 7)
+    texts = ["a b c d e f g h i j", "the cat sat on the mat", "x_y z x y_z", ""]
+    expected = [list(_reference_featurize(text).items()) for text in texts]
+    assert any(sum(count for _, count in e) > len(e) for e in expected)  # collisions merged
+    assert _entries_by_text(texts) == expected
+    features, _, _, _ = featurize_all(texts)
+    assert features.tolist() == sorted({i for e in expected for i, _ in e})
+
+
+def test_train_with_hash_collisions_matches_reference_fit(monkeypatch):
+    monkeypatch.setattr(discriminator, "FEATURE_SPACE", 13)
+    task = generate_task("question", 0.8, 0.1, 30, seed=3)
+    pair = make_pair(
+        [s.text for s in task.pair.d0.samples[:17]],
+        [s.text for s in task.pair.d1.samples[:12]],
+    )
+    disc = train(pair)
+    for side, corpus in enumerate((pair.d0, pair.d1)):
+        for position, sample in enumerate(corpus.samples):
+            expected = _reference_score(pair, side, position)
+            assert math.isclose(disc.scores[side][sample.id], expected, rel_tol=1e-12)
+
+
+def test_train_hashes_each_distinct_gram_once_per_fit(monkeypatch):
+    task = generate_task("question", 0.8, 0.1, 60, seed=3)
+    texts = [s.text for corpus in (task.pair.d0, task.pair.d1) for s in corpus.samples]
+    texts[:2] = ["a_b c", "a b_c"]  # two bigrams, one string
+    pair = make_pair(texts[: len(task.pair.d0)], texts[len(task.pair.d0) :])
+    tokens = [text.lower().split() for text in texts]
+    distinct = {t for words in tokens for t in words}
+    distinct_bigrams = {f"{a}_{b}" for words in tokens for a, b in zip(words, words[1:])}
+    original = discriminator._fnv1a64
+    calls = []
+
+    def counted(data):
+        calls.append(data)
+        return original(data)
+
+    monkeypatch.setattr(discriminator, "_fnv1a64", counted)
+    train(pair)
+    assert len(calls) == len(distinct) + len(distinct_bigrams)
+    train(pair)  # no memo outlives a fit
+    assert len(calls) == 2 * (len(distinct) + len(distinct_bigrams))
 
 
 def test_featurize_empty():
@@ -240,7 +328,7 @@ def _reference_score(pair, side, position):
             if i % K_FOLDS == fold:
                 continue
             sizes[label] += 1
-            for index, count in featurize(sample.text).items():
+            for index, count in _reference_featurize(sample.text).items():
                 totals[label][index] = totals[label].get(index, 0) + count
     vocab = set(totals[0]) | set(totals[1])
     p = {f: 1 + totals[1].get(f, 0) for f in vocab}
@@ -248,7 +336,7 @@ def _reference_score(pair, side, position):
     p_norm, q_norm = sum(p.values()), sum(q.values())
     score = math.log(sizes[1] / sizes[0])
     text = (pair.d0, pair.d1)[side].samples[position].text
-    for index, count in featurize(text).items():
+    for index, count in _reference_featurize(text).items():
         if index in vocab:
             score += count * (math.log(p[index] / p_norm) - math.log(q[index] / q_norm))
     return score

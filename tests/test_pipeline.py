@@ -51,17 +51,17 @@ def test_report_bytes_match_golden_file():
 
 
 def test_describe_pair_featurizes_each_sample_once(monkeypatch):
-    original = discriminator.featurize
+    original = discriminator.featurize_all
     calls = []
 
-    def counted_featurize(text):
-        calls.append(text)
-        return original(text)
+    def counted_featurize_all(texts):
+        calls.append(list(texts))
+        return original(texts)
 
-    monkeypatch.setattr(discriminator, "featurize", counted_featurize)
+    monkeypatch.setattr(discriminator, "featurize_all", counted_featurize_all)
     task = generate_task("question", 0.8, 0.1, 120, seed=5)
     describe_pair(task.pair, RunConfig())
-    assert len(calls) == len(task.pair.d0) + len(task.pair.d1)
+    assert calls == [[s.text for corpus in (task.pair.d0, task.pair.d1) for s in corpus.samples]]
 
 
 @pytest.fixture
