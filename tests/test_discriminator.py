@@ -7,6 +7,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -86,6 +87,14 @@ def test_featurize_all_merges_hash_collisions(monkeypatch):
     assert _entries_by_text(texts) == expected
     features, _, _, _ = featurize_all(texts)
     assert features.tolist() == sorted({i for e in expected for i, _ in e})
+
+
+def test_featurize_all_with_int64_keys_matches_reference(monkeypatch):
+    # Large vocabularies and corpora need int64 keys; force that path on small input.
+    monkeypatch.setattr(discriminator, "_int_type", lambda limit: np.int64)
+    texts = ["the cat sat on the mat", "a_b c a b_c", "", "go go go"]
+    expected = [list(_reference_featurize(text).items()) for text in texts]
+    assert _entries_by_text(texts) == expected
 
 
 def test_train_with_hash_collisions_matches_reference_fit(monkeypatch):
