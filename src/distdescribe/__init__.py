@@ -41,9 +41,7 @@ from .corpus import (
 from .discriminator import (
     Discriminator,
     RepresentativeSet,
-    confidence,
     featurize,
-    held_out_accuracy,
     select_percentile,
     train,
 )

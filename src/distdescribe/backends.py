@@ -10,7 +10,7 @@ Implementations of the same two-method interface:
   pair to a JSONL transcript (framed by ``store``); ``ReplayBackend``
   serves a transcript back for offline reproduction of a recorded run.
 
-Judgments and completions are memoized above this layer, by
+Judgments and completions are cached above this layer, by
 ``store.JudgmentCache``.
 """
 
@@ -33,6 +33,7 @@ import weakref
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .config import EndpointConfig
@@ -109,6 +110,42 @@ class Backend:
 
     def judge(self, req: JudgmentRequest) -> str:
         raise NotImplementedError
+
+
+def send_queued(n: int, in_flight: int, send: Callable[[int], None]) -> None:
+    """Call ``send(i)`` for each i in ``range(n)``, ``in_flight`` requests at a time.
+
+    The items go through one FIFO queue drained by ``min(in_flight, n)``
+    workers, the calling thread among them: with no item no thread is
+    started.  The first exception raised by ``send`` empties the queue, so
+    no request is sent after it, and propagates once the workers are done.
+    """
+    queue = deque(range(n))
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        try:
+            while queue:
+                try:
+                    i = queue.popleft()
+                except IndexError:  # another worker took the last one
+                    return
+                send(i)
+        except BaseException as exc:
+            queue.clear()
+            errors.append(exc)
+
+    workers = [threading.Thread(target=work) for _ in range(min(in_flight, n) - 1)]
+    for worker in workers:
+        worker.start()
+    try:
+        work()
+        for worker in workers:
+            worker.join()
+    finally:
+        queue.clear()  # interrupted while joining: no request is sent after it
+    if errors:
+        raise errors[0]
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,8 @@ class Discriminator:
     ``scores[side][sample_id]`` is the log-odds of each sample of the fitted
     pair, from the fit that never saw it.  Keys are per sample, not per
     text: copies of one text in different folds read different fits.
-    ``ranked[side]`` is that side's samples by descending :func:`confidence`
-    in their own side, ties broken by sample id ascending.
+    ``ranked[side]`` is that side's samples by descending confidence in
+    their own side (:func:`_confidence`), ties broken by sample id ascending.
     """
 
     scores: tuple[Mapping[str, float], Mapping[str, float]]
@@ -260,34 +260,10 @@ def train(pair: DistributionPair) -> Discriminator:
     return Discriminator(scores=by_side, ranked=ranked)
 
 
-def held_out_accuracy(disc: Discriminator) -> float:
-    """Accuracy of the out-of-fold scores over every sample of both sides."""
-    d0, d1 = disc.scores
-    correct = sum(1 for score in d0.values() if score <= 0)
-    correct += sum(1 for score in d1.values() if score > 0)
-    return correct / (len(d0) + len(d1))
-
-
 def _confidence(score: float, side: int) -> float:
+    """The probability that a sample of log-odds ``score`` is drawn from ``side``."""
     p1 = _sigmoid(score)
     return p1 if side == 1 else 1.0 - p1
-
-
-def confidence(disc: Discriminator, sample: Sample, side: int) -> float:
-    """Probability the model assigns to ``sample`` belonging to ``side``.
-
-    The two sides are exact complements: confidence(x, 1) + confidence(x, 0)
-    is 1.0 by construction.  ``sample`` must belong to the fitted pair; its
-    stored score is looked up on ``side`` first.
-    """
-    if side not in (0, 1):
-        raise ValueError(f"side must be 0 or 1, got {side}")
-    score = disc.scores[side].get(sample.id)
-    if score is None:
-        score = disc.scores[1 - side].get(sample.id)
-        if score is None:
-            raise KeyError(f"sample {sample.id!r} is not in the fitted pair")
-    return _confidence(score, side)
 
 
 def _kept_count(n: int, percentile: int) -> int:

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator
 
 import numpy as np
 
-from .backends import Backend, CompletionRequest, one_line, request_hash
+from .backends import Backend, CompletionRequest, one_line, request_hash, send_queued
 from .config import RunConfig
 from .corpus import Sample
 from .discriminator import Discriminator, select_percentile
@@ -199,9 +198,10 @@ def propose(
     For each percentile, ``sets_per_percentile`` sample sets are drawn with
     a per-percentile seeded generator and each is asked for
     ``completions_per_set`` completions.  Each request is looked up in
-    ``cache`` first (a memory-only one when none is passed), and each
-    distinct miss is sent once; the new completions reach the cache's store
-    in one append.  Requests may run concurrently; results are merged in
+    ``cache``'s store first, if it has one, and each distinct miss is sent
+    once; the new completions reach the store in one append.  Misses are
+    sent ``config.in_flight`` at a time (see ``send_queued``): the first
+    that fails stops the sending and propagates.  Results are merged in
     (percentile, set, completion) order so the outcome does not depend on
     arrival order.
     """
@@ -221,12 +221,14 @@ def propose(
     cache = cache if cache is not None else JudgmentCache()
     stored = cache.path is not None  # only a store's rows need their keys hashed
     keys = {req: cache.key(backend.id, request_hash(req)) if stored else None for *_, req in tasks}
-    found = {req: cache.get("completions", (backend.id, req), key) for req, key in keys.items()}
+    found = {req: cache.get(key) for req, key in keys.items()}
     misses = [req for req, completions in found.items() if completions is None]
-    with ThreadPoolExecutor(max_workers=config.in_flight) as pool:
-        sent = list(pool.map(backend.complete, misses))
-    found.update(zip(misses, sent))
-    cache.put("completions", [((backend.id, req), keys[req], found[req]) for req in misses])
+
+    def send(i: int) -> None:
+        found[misses[i]] = backend.complete(misses[i])
+
+    send_queued(len(misses), config.in_flight, send)
+    cache.put("completions", [(keys[req], found[req]) for req in misses])
     cache.flush()
 
     hypotheses: list[Hypothesis] = []

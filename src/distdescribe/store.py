@@ -15,10 +15,10 @@ import threading
 import warnings
 import zlib
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import BinaryIO, Callable, Hashable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .errors import CorruptStoreError
 
@@ -228,24 +228,25 @@ def _key_json(encoded: Iterable[str], opens: bool = True, closes: bool = True) -
 
 
 class JudgmentCache:
-    """In-memory result memo with an optional append-only jsonl store.
+    """Results kept in an append-only jsonl store, or nothing without one.
 
-    Every row kind of :data:`ROW_KINDS` is cached the same way: in the
-    kind's memo, keyed by what the result answers, and in one dict of the
-    store's rows, keyed by the sha256 row :meth:`key`.  A judgment is memoized by its
-    (backend id, description, text A, text B), a proposer's completions by
-    (backend id, request).  A row key is computed only to write a row or to
-    look up the store's rows, and at most once per new result;
-    :meth:`lookup` builds the keys of many judgments from each text's JSON
-    encoding, computed once per call.  A store row without a string ``key``,
-    or whose payload fails its kind's check, raises :class:`CorruptStoreError`.
+    Every row kind of :data:`ROW_KINDS` is cached the same way: keyed by
+    the sha256 row :meth:`key` of what the result answers, a judgment's
+    (backend id, description, text A, text B) or a proposer request's
+    (backend id, ``request_hash``).  The rows this cache put are looked up
+    before the store's rows, so a result is served again and queued once
+    even after the process has opened another store.  :meth:`lookup` builds
+    the keys of many judgments from each text's JSON encoding, computed once
+    per call.  A store row without a string ``key``, or whose payload fails
+    its kind's check, raises :class:`CorruptStoreError`.
 
     The store is created when the cache is built, so a store that cannot be
     written fails before any request is sent.  :meth:`put` records new
     results in memory and queues their rows; :meth:`flush` appends the
     queued rows in one write, as ``propose`` does with its completions and
     ``Verifier.estimate_cas`` with each description's judgments.  No file
-    is held open between writes.
+    is held open between writes.  Without a store nothing is hashed, kept
+    or written.
 
     A process holds the rows of one store, the one opened last (see
     :func:`_read_store`): opening it again decodes only the rows other
@@ -255,11 +256,9 @@ class JudgmentCache:
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
-        # A memo per row kind: a describe's completions leave the judgments'
-        # memo empty, so the first lookup() of a fresh cache skips it.
-        self._memo: dict[str, dict[Hashable, object]] = {field: {} for field in ROW_KINDS}
         self._index: _StoreIndex | None = None
         self._stored: dict[str, object] = {}
+        self._put: dict[str, object] = {}  # row key -> payload, of the rows this cache put
         if self.path is not None:
             open(self.path, "ab").close()  # creates it; an unwritable path fails before judging
             self._index = _read_store(self.path)
@@ -278,58 +277,50 @@ class JudgmentCache:
         blob = _key_json(map(encode_basestring, parts))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def get(self, field: str, memo_key: Hashable, key: str | None) -> object | None:
-        """The result of kind ``field`` memoized under ``memo_key``, else stored under ``key``."""
-        found = self._memo[field].get(memo_key)
-        if found is None and key is not None:
-            found = self._stored.get(key)
-        return found
+    def get(self, key: str | None) -> object | None:
+        """The result cached under the row ``key``, or None (always, without a store)."""
+        found = self._put.get(key)
+        return found if found is not None else self._stored.get(key)
 
     def lookup(
         self, backend_id: str, descriptions: Sequence[str], texts: Sequence[tuple[str, str]]
     ) -> Iterator[tuple[list[float | None], list[str] | None]]:
         """Per description, the cached value of each (text A, text B) judgment or None.
 
-        Each is yielded with the judgments' row keys, or None when no store
-        rows are loaded: then nothing is hashed.  Pass a new judgment's key
-        on to :meth:`put`, so it is hashed once.
+        Each is yielded with the judgments' row keys, or None without a
+        store: then nothing is hashed and every value is None.  Pass a new
+        judgment's key on to :meth:`put`, so it is hashed once.
         """
+        if self.path is None:
+            for _ in descriptions:
+                yield [None] * len(texts), None
+            return
         # Single dict reads are atomic; only put() needs the lock.
-        memo, stored = self._memo["value"], self._stored
-        keys = _row_keys(backend_id, descriptions, texts) if stored else repeat(None)
-        for s, row_keys in zip(descriptions, keys):
-            if memo:
-                values = [memo.get((backend_id, s, a, b)) for a, b in texts]
-            else:
-                values = [None] * len(texts)
-            if row_keys is not None:
-                values = [stored.get(k) if v is None else v for v, k in zip(values, row_keys)]
+        ours, stored = self._put, self._stored
+        for row_keys in _row_keys(backend_id, descriptions, texts):
+            values = list(map(stored.get, row_keys))
+            if ours:
+                values = [ours.get(k, v) for k, v in zip(row_keys, values)]
             yield values, row_keys
 
     def put(self, field: str, new: Iterable[tuple]) -> None:
         """Record new results of the row kind ``field`` and queue their store rows.
 
-        Each is (memo key, row key, payload, then the values of the kind's
-        other fields).  A row key of None is the key of the memo key's
-        parts, as a judgment's memo key is.  Rows are built only with a
-        store, and only of results neither memoized nor stored already.
+        Each is (row key, payload, then the values of the kind's other
+        fields).  Only results neither put nor stored already are queued.
+        Without a store nothing is recorded.
         """
+        if self.path is None:
+            return
         fields = ROW_KINDS[field][1]
-        store = self.path is not None
         with self._lock:
-            memo = self._memo[field]
-            for new_result in new:
-                memo_key = new_result[0]
-                if memo_key in memo:
+            for key, payload, *values in new:
+                if key in self._put or key in self._stored:
                     continue
-                memo[memo_key] = payload = new_result[2]
-                if not store:
-                    continue
-                key = new_result[1] or self.key(*memo_key)
-                if key not in self._stored:
-                    row = dict(zip(fields, new_result[3:]), key=key)
-                    row[field] = payload
-                    self._pending.append(row)
+                self._put[key] = payload
+                row = dict(zip(fields, values), key=key)
+                row[field] = payload
+                self._pending.append(row)
 
     def flush(self) -> None:
         """Append the rows queued since the last flush to the store, in one write."""

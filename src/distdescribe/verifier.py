@@ -21,16 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .backends import QUESTION_PREFIX, Backend, JudgmentRequest, one_line
+from .backends import QUESTION_PREFIX, Backend, JudgmentRequest, one_line, send_queued
 from .corpus import DistributionPair, Sample
 from .errors import AuthError, BackendError, ReplayMissError
 from .store import JudgmentCache
 
 ABSTAIN = 0.5
-
-
-# (backend id, description, text A, text B): what one directed judgment asks.
-Judgment = tuple[str, str, str, str]
 
 
 def _question(s: str) -> str:
@@ -41,17 +37,6 @@ def _question(s: str) -> str:
 def _context(a_line: str, b_line: str) -> str:
     """The context of a judgment of texts A and B, each already on one line."""
     return f"A: {a_line}\nB: {b_line}"
-
-
-def build_question(s: str, a: Sample, b: Sample) -> JudgmentRequest:
-    """The request of one judgment of ``s`` on (a, b).
-
-    A verification sends the same request, assembled from its question and
-    context, each built once per call.
-    """
-    return JudgmentRequest(
-        question=_question(s), context=_context(one_line(a.text), one_line(b.text))
-    )
 
 
 @dataclass(frozen=True)
@@ -89,16 +74,14 @@ def _answer_value(answer: str) -> float:
 class _Misses:
     """The distinct judgments a verification found in no cache, in lookup order.
 
-    Parallel lists, so that a miss adds no object that outlives the
-    verification but its judgment tuple, which the cache's memo keeps.
+    Parallel lists, so that a miss adds no object of its own.
     """
 
-    __slots__ = ("judgments", "positions", "keys", "owners")
+    __slots__ = ("positions", "keys", "owners")
 
     def __init__(self) -> None:
-        self.judgments: list[Judgment] = []
         self.positions: list[int] = []  # the first directed pair it judges
-        self.keys: list[str | None] = []  # row keys, where the lookup computed them
+        self.keys: list[str] = []  # row keys, with a store
         self.owners: list[int] = []  # the description that needs it first
 
 
@@ -160,7 +143,7 @@ class Verifier:
             if gap is None:
                 if not firsts:
                     ranks, firsts = _distinct(texts)
-                base = len(misses.judgments)
+                base = len(misses.positions)
                 positions: Sequence[int]
                 if values.count(None) == len(values):  # nothing cached: each distinct pair
                     positions, missed = range(len(values)), firsts
@@ -178,9 +161,9 @@ class Verifier:
                             i = at[ranks[p]] = base + len(missed)
                             missed.append(p)
                         needed.append(i)
-                misses.judgments += [(backend_id, s) + texts[p] for p in missed]
                 misses.positions += missed
-                misses.keys += [None] * len(missed) if keys is None else [keys[p] for p in missed]
+                if keys is not None:
+                    misses.keys += [keys[p] for p in missed]
                 misses.owners += [d] * len(missed)
                 gap = first[s] = (positions, needed)
             found.append(values)
@@ -199,17 +182,15 @@ class Verifier:
 
         Each description's question is built once, and each missed pair's
         context once, from each text put on one line once; a miss's request
-        joins the two.  The misses go through one FIFO queue drained by
-        ``min(in_flight, misses)`` workers, the calling thread among them:
-        with no miss no thread is started.  A description's new judgments
-        are put into the cache, and with ``flush`` appended to its store in
+        joins the two.  The misses are sent ``in_flight`` at a time through
+        :func:`send_queued`.  With a store, a description's new judgments
+        are put into the cache, and with ``flush`` appended to the store in
         one write, once its last miss is answered.  A :class:`BackendError`
         leaves a miss failed, and it is not cached.  An :class:`AuthError`
-        or :class:`ReplayMissError` (or any other exception) empties the
-        queue, so no request is sent after it, and propagates once the
-        workers are done.
+        or :class:`ReplayMissError` (or any other exception) stops the
+        sending and propagates.
         """
-        n = len(misses.judgments)
+        n = len(misses.positions)
         answers: list[str | None] = [None] * n
         answer_values = [ABSTAIN] * n
         if not n:
@@ -221,60 +202,41 @@ class Verifier:
         owned: list[list[int]] = [[] for _ in descriptions]
         for i, d in enumerate(misses.owners):
             owned[d].append(i)
-        queue = deque(range(n))
         # deque.pop is atomic: the worker that pops a description's 0 answered its last miss.
         left = [deque(range(len(mine))) for mine in owned]
-        errors: list[BaseException] = []
 
         def finish(d: int) -> None:
-            s, judgments, keys = descriptions[d], misses.judgments, misses.keys
+            if self.cache.path is None:
+                return
+            s, keys = descriptions[d], misses.keys
             new = []
             for i in owned[d]:
                 if answers[i] is not None:
                     a, b = directed[misses.positions[i]]
-                    new.append((judgments[i], keys[i], answer_values[i], s, a.id, b.id, answers[i]))
+                    new.append((keys[i], answer_values[i], s, a.id, b.id, answers[i]))
             self.cache.put("value", new)
             if flush:
                 self.cache.flush()
 
-        def work() -> None:
+        def send(i: int) -> None:
+            d = misses.owners[i]
+            req = JudgmentRequest(questions[d], contexts[misses.positions[i]])
             try:
-                while queue:
-                    try:
-                        i = queue.popleft()
-                    except IndexError:  # another worker took the last one
-                        return
-                    d = misses.owners[i]
-                    req = JudgmentRequest(questions[d], contexts[misses.positions[i]])
-                    try:
-                        answer = self.backend.judge(req)
-                    except (AuthError, ReplayMissError):
-                        raise  # configuration mistakes; retrying other pairs cannot help
-                    except BackendError:
-                        # Retry budget exhausted inside the backend: score the
-                        # judgment as an abstention and flag it, but do not
-                        # poison the cache.
-                        pass
-                    else:
-                        answers[i] = answer
-                        answer_values[i] = _answer_value(answer)
-                    if left[d].pop() == 0:
-                        finish(d)
-            except BaseException as exc:
-                queue.clear()
-                errors.append(exc)
+                answer = self.backend.judge(req)
+            except (AuthError, ReplayMissError):
+                raise  # configuration mistakes; retrying other pairs cannot help
+            except BackendError:
+                # Retry budget exhausted inside the backend: score the
+                # judgment as an abstention and flag it, but do not
+                # poison the cache.
+                pass
+            else:
+                answers[i] = answer
+                answer_values[i] = _answer_value(answer)
+            if left[d].pop() == 0:
+                finish(d)
 
-        workers = [threading.Thread(target=work) for _ in range(min(in_flight, n) - 1)]
-        for worker in workers:
-            worker.start()
-        try:
-            work()
-            for worker in workers:
-                worker.join()
-        finally:
-            queue.clear()  # interrupted while joining: no request is sent after it
-        if errors:
-            raise errors[0]
+        send_queued(n, in_flight, send)
         return answers, answer_values
 
     def _judge_all(

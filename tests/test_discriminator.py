@@ -21,10 +21,9 @@ from distdescribe.discriminator import (
     FEATURE_SPACE,
     K_FOLDS,
     Discriminator,
-    confidence,
+    _confidence,
     featurize,
     featurize_all,
-    held_out_accuracy,
     select_percentile,
     train,
 )
@@ -155,6 +154,14 @@ def test_featurize_repeated_token_counts():
     assert sum(vec.values()) == 3
 
 
+def held_out_accuracy(disc: Discriminator) -> float:
+    """Accuracy of the out-of-fold scores over every sample of both sides."""
+    d0, d1 = disc.scores
+    correct = sum(1 for score in d0.values() if score <= 0)
+    correct += sum(1 for score in d1.values() if score > 0)
+    return correct / (len(d0) + len(d1))
+
+
 def test_train_requires_two_per_side():
     with pytest.raises(DegenerateDataError):
         train(make_pair(["only one"], ["a", "b"]))
@@ -191,36 +198,25 @@ def test_label_swap_symmetry():
 def test_confidence_complement_identity():
     pair = _separable_pair()
     disc = train(pair)
-    for sample in list(pair.d0.samples)[:50] + list(pair.d1.samples)[:50]:
-        c1 = confidence(disc, sample, 1)
-        c0 = confidence(disc, sample, 0)
-        assert 0.0 <= c1 <= 1.0
-        assert abs((c0 + c1) - 1.0) <= 1e-12
+    for side, corpus in enumerate((pair.d0, pair.d1)):
+        for sample in corpus.samples[:50]:
+            c1 = _confidence(disc.scores[side][sample.id], 1)
+            c0 = _confidence(disc.scores[side][sample.id], 0)
+            assert 0.0 <= c1 <= 1.0
+            assert abs((c0 + c1) - 1.0) <= 1e-12
 
 
 def test_confidence_zero_score_is_half():
     sample = Sample(id="x:0", text="anything at all")
     disc = Discriminator(scores=({sample.id: 0.0}, {}), ranked=((sample,), ()))
-    assert confidence(disc, sample, 0) == 0.5
-    assert confidence(disc, sample, 1) == 0.5
+    assert _confidence(disc.scores[0][sample.id], 0) == 0.5
+    assert _confidence(disc.scores[0][sample.id], 1) == 0.5
 
 
 def test_confidence_high_for_marker_token():
     pair = _separable_pair()
     disc = train(pair)
-    assert confidence(disc, pair.d1.samples[3], 1) > 0.9
-
-
-def test_confidence_outside_fitted_pair_raises():
-    disc = train(_separable_pair())
-    with pytest.raises(KeyError, match="not in the fitted pair"):
-        confidence(disc, Sample(id="q:0", text="zebra zebra"), 1)
-
-
-def test_confidence_rejects_bad_side():
-    disc = train(_separable_pair())
-    with pytest.raises(ValueError):
-        confidence(disc, Sample(id="q:0", text="x"), 2)
+    assert _confidence(disc.scores[1][pair.d1.samples[3].id], 1) > 0.9
 
 
 def test_select_percentile_counts():
@@ -237,7 +233,7 @@ def test_select_percentile_full():
     disc = train(pair)
     rep = select_percentile(disc, 100)
     assert len(rep.d1_samples) == 40
-    confs = [confidence(disc, s, 1) for s in rep.d1_samples]
+    confs = [_confidence(disc.scores[1][s.id], 1) for s in rep.d1_samples]
     assert confs == sorted(confs, reverse=True)
 
 
@@ -276,7 +272,7 @@ def test_ranked_sorted_by_confidence_then_id():
     for side, corpus in enumerate((task.pair.d0, task.pair.d1)):
         ranked = disc.ranked[side]
         assert sorted(s.id for s in ranked) == sorted(s.id for s in corpus.samples)
-        keys = [(-confidence(disc, s, side), s.id) for s in ranked]
+        keys = [(-_confidence(disc.scores[side][s.id], side), s.id) for s in ranked]
         assert keys == sorted(keys)
 
 
@@ -389,8 +385,9 @@ def test_duplicate_texts_read_their_own_fold_score():
     for side, position, sample in ((1, 0, copy1), (0, 1, copy0)):
         score = disc.scores[side][sample.id]
         assert math.isclose(score, _reference_score(pair, side, position), rel_tol=1e-12)
-        assert confidence(disc, sample, 1) == confidence(
-            disc, Sample(id=sample.id, text="unrelated"), 1
+        unrelated = Sample(id=sample.id, text="unrelated")
+        assert _confidence(disc.scores[side][sample.id], 1) == _confidence(
+            disc.scores[side][unrelated.id], 1
         )
 
 

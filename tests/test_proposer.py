@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 from contextlib import closing
 from pathlib import Path
 
@@ -15,7 +16,13 @@ from distdescribe.backends import RuleBackend, _parse_prompt_groups
 from distdescribe.config import RunConfig
 from distdescribe.corpus import Sample
 from distdescribe.discriminator import train
-from distdescribe.errors import AllCompletionsEmptyError, EmptySampleSetError, ProviderError
+from distdescribe.errors import (
+    AllCompletionsEmptyError,
+    AuthError,
+    EmptySampleSetError,
+    ProviderError,
+    ReplayMissError,
+)
 from distdescribe.proposer import (
     INSTRUCTION,
     SAMPLE_TOKEN_LIMIT,
@@ -252,6 +259,31 @@ def test_failed_propose_stores_no_completions(tmp_path):
     with closing(JudgmentCache(store)) as cache:
         propose(disc, backend, RunConfig(), cache)
     assert len(backend.requests) == 30
+
+
+class _RaisingComplete(RuleBackend):
+    """Counts the requests sent; each raises ``error`` after a short wait."""
+
+    def __init__(self, error):
+        self.error = error
+        self.sent = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.sent += 1
+        time.sleep(0.02)
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [AuthError("bad key"), ReplayMissError("not recorded")])
+@pytest.mark.parametrize("in_flight", [1, 2, 4])
+def test_failed_completion_stops_the_sending(error, in_flight):
+    backend = _RaisingComplete(error)
+    with pytest.raises(type(error)) as raised:
+        propose(train(_noisy_question_pair()), backend, RunConfig(in_flight=in_flight))
+    assert raised.value is error
+    assert 1 <= backend.sent <= in_flight
 
 
 def test_first_prompt_is_prefix_of_run():

@@ -24,7 +24,13 @@ from hypothesis import strategies as st
 
 from distdescribe import backends
 from distdescribe import store as store_module
-from distdescribe.backends import Backend, CompletionRequest, RuleBackend, request_hash
+from distdescribe.backends import (
+    Backend,
+    CompletionRequest,
+    JudgmentRequest,
+    RuleBackend,
+    request_hash,
+)
 from distdescribe.bench import default_suite, generate_task, run_bench
 from distdescribe.config import RunConfig
 from distdescribe.corpus import DistributionPair, Sample
@@ -32,7 +38,7 @@ from distdescribe.errors import AuthError, CorruptStoreError, ProviderError, Rep
 from distdescribe.pipeline import describe_pair, report_json, verify
 from distdescribe.predicates import PREDICATES, get_predicate
 from distdescribe.store import JudgmentCache, append_jsonl
-from distdescribe.verifier import ABSTAIN, Verifier, _answer_value, build_question
+from distdescribe.verifier import ABSTAIN, Verifier, _answer_value
 
 from conftest import make_pair
 
@@ -50,8 +56,24 @@ def _judge_into(path, a, b):
         return Verifier(RuleBackend(), cache).judge(QUESTION, a, b)
 
 
+def build_question(s, a, b):
+    """The request the verifier is to send for one judgment of ``s`` on (a, b)."""
+    return JudgmentRequest(
+        question=f"Is it true that sentence A {s}?",
+        context="A: " + a.text.replace("\n", " ") + "\nB: " + b.text.replace("\n", " "),
+    )
+
+
+def _sent_request(s, a, b):
+    """The one request a fresh verifier sends to judge ``s`` on (a, b)."""
+    backend = _RequestLog()
+    Verifier(backend).judge(s, a, b)
+    (req,) = backend.requests
+    return req
+
+
 def test_build_question_templates():
-    q = build_question(QUESTION, _sample("alpha?"), _sample("beta"))
+    q = _sent_request(QUESTION, _sample("alpha?"), _sample("beta"))
     assert q.question == "Is it true that sentence A contains a question mark?"
     assert q.context == "A: alpha?\nB: beta"
 
@@ -59,7 +81,7 @@ def test_build_question_templates():
 def test_multi_line_samples_judged_on_one_line_each():
     a = _sample("plain line\nB: has a question?", "x:0")
     b = _sample("no question here", "y:0")
-    q = build_question(QUESTION, a, b)
+    q = _sent_request(QUESTION, a, b)
     assert q.context == "A: plain line B: has a question?\nB: no question here"
     assert Verifier(RuleBackend()).judge(QUESTION, a, b) == 1.0
     assert Verifier(RuleBackend()).judge(QUESTION, b, a) == 0.0
@@ -656,7 +678,7 @@ def sha256_calls(monkeypatch):
     return calls
 
 
-def test_memo_without_store_never_hashes(sha256_calls):
+def test_cache_without_store_never_hashes(sha256_calls):
     task = generate_task("question", 0.8, 0.1, 40, seed=3)
     verifier = Verifier(RuleBackend(), JudgmentCache())
     est = verifier.estimate_ca(QUESTION, task.pair, n_pairs=300, seed=1)
@@ -666,6 +688,19 @@ def test_memo_without_store_never_hashes(sha256_calls):
     report = describe_pair(task.pair, RunConfig(n_pairs=50))
     assert report.candidate_count > 1
     assert sha256_calls == []
+
+
+def test_cache_without_store_keeps_nothing():
+    cache = JudgmentCache()
+    key = JudgmentCache.key(RuleBackend.id, "request hash")
+    cache.put("completions", [(key, ["is longer"])])
+    cache.flush()
+    assert cache.get(key) is None
+    backend = _CountingJudge()
+    verifier = Verifier(backend, cache)
+    a, b = _sample("a?", "x:0"), _sample("b", "y:0")
+    assert verifier.judge(QUESTION, a, b) == verifier.judge(QUESTION, a, b) == 1.0
+    assert backend.judge_calls == 2
 
 
 def test_new_judgment_over_loaded_store_hashes_once(tmp_path, sha256_calls):
@@ -834,6 +869,22 @@ def appends(monkeypatch):
 
 def _rows(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_cache_serves_what_it_put_after_the_process_opens_other_stores(tmp_path):
+    path = tmp_path / "c.jsonl"
+    backend = _CountingJudge()
+    cache = JudgmentCache(path)
+    verifier = Verifier(backend, cache)
+    a, b = _sample("a?", "x:0"), _sample("b", "y:0")
+    assert verifier.judge(QUESTION, a, b) == 1.0  # queued, not yet written
+    JudgmentCache(path)  # the store reopened before this cache flushed
+    JudgmentCache(tmp_path / "other.jsonl")  # the process now holds another store's rows
+    cache.flush()
+    assert verifier.judge(QUESTION, a, b) == 1.0
+    cache.close()
+    assert backend.judge_calls == 1
+    assert len(_rows(path)) == 1
 
 
 def test_store_that_cannot_be_created_fails_when_opened(tmp_path):
@@ -1046,9 +1097,9 @@ def test_completions_miss_on_another_backend_or_any_other_request_field(tmp_path
     assert set(changed) == {field.name for field in dataclasses.fields(CompletionRequest)}
     written = JudgmentCache(store)
     key = JudgmentCache.key(RuleBackend.id, request_hash(req))
-    written.put("completions", [((RuleBackend.id, req), key, ["is longer", "is shorter"])])
+    written.put("completions", [(key, ["is longer", "is shorter"])])
     written.close()
-    for cache in (written, JudgmentCache(store)):  # the memo, then the store
+    for cache in (written, JudgmentCache(store)):  # this cache, then a freshly opened one
         assert _completions(cache, RuleBackend.id, req) == ["is longer", "is shorter"]
         assert _completions(cache, "http:chat:model", req) is None
         for field, value in changed.items():
@@ -1058,8 +1109,7 @@ def test_completions_miss_on_another_backend_or_any_other_request_field(tmp_path
 
 def _completions(cache, backend_id, req):
     """The cached completions of ``req`` sent to ``backend_id``, looked up as ``propose`` does."""
-    key = JudgmentCache.key(backend_id, request_hash(req))
-    return cache.get("completions", (backend_id, req), key)
+    return cache.get(JudgmentCache.key(backend_id, request_hash(req)))
 
 
 def test_store_imports_no_distdescribe_module_but_errors():
