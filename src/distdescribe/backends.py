@@ -190,6 +190,7 @@ _SLOTS = {p.id: i for i, p in enumerate(PREDICATES)}
 _score_rows: OrderedDict[str, list[float | None]] = OrderedDict()
 
 # (predicate id, text) -> the thread scoring it, while it does.
+# Not one lock: threads queue on it under the GIL, which halved large-corpus describes/s.
 _scoring: dict[tuple[str, str], int] = {}
 
 

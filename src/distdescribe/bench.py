@@ -18,9 +18,8 @@ import numpy as np
 from .config import RunConfig
 from .corpus import Corpus, DistributionPair, Sample, _iter_lines, load_corpus, save_corpus
 from .errors import MalformedRecordError, UnsatisfiablePredicateError
-from .pipeline import REPORT_FORMAT, Report, describe_pair, verify
+from .pipeline import REPORT_FORMAT, Report, describe_pair, open_run, verify
 from .predicates import PREDICATES, get_predicate, parse_description
-from .backends import make_backend
 
 MANIFEST_NAME = "manifest.jsonl"
 _MANIFEST_FIELDS = ("task", "gold", "q1", "q0", "seed")
@@ -280,40 +279,39 @@ def run_bench(tasks: list[SyntheticTask], config: RunConfig) -> BenchReport:
     predicate id.  The gold CA column is the verifier-quality metric: the
     CA of the gold description on the run's pairs.  When the gold
     description is a ranked row, that row already holds it; otherwise it is
-    estimated through the run's judgment cache.
+    estimated through the judgment cache that every task of the run shares,
+    with its one proposer/verifier backend pair.
     """
     if not tasks:
         raise ValueError("tasks must be non-empty")
-    verifier_backend = make_backend(config.verifier_backend, config.verifier_endpoint)
     results = []
-    for i, task in enumerate(tasks):
-        report: Report = describe_pair(task.pair, config)
-        gold_rank = None
-        for ranked in report.ranked:
-            parsed = parse_description(ranked.hypothesis.s)
-            if parsed is not None and parsed.id == task.gold:
-                gold_rank = ranked.rank
-                break
-        gold_description = get_predicate(task.gold).description
-        gold_row = next(
-            (r for r in report.ranked if r.hypothesis.s == gold_description), None
-        )
-        if gold_row is not None:
-            gold_ca = gold_row.ca.mean
-        else:
-            (estimate,), _ = verify([gold_description], task.pair, config, verifier_backend)
-            gold_ca = estimate.mean
-        top1_ca = report.ranked[0].ca.mean if report.ranked else 0.5
-        results.append(
-            TaskResult(
-                task_index=i,
-                gold=task.gold,
-                q1=task.q1,
-                q0=task.q0,
-                gold_in_top_k=gold_rank is not None,
-                gold_rank=gold_rank,
-                top1_ca=top1_ca,
-                gold_ca=gold_ca,
+    with open_run(config) as (proposer, verifier, cache):
+        for i, task in enumerate(tasks):
+            report: Report = describe_pair(task.pair, config, proposer, verifier, cache)
+            gold_rank = None
+            for ranked in report.ranked:
+                parsed = parse_description(ranked.hypothesis.s)
+                if parsed is not None and parsed.id == task.gold:
+                    gold_rank = ranked.rank
+                    break
+            gold_description = get_predicate(task.gold).description
+            gold_row = next((r for r in report.ranked if r.hypothesis.s == gold_description), None)
+            if gold_row is not None:
+                gold_ca = gold_row.ca.mean
+            else:
+                (estimate,), _ = verify([gold_description], task.pair, config, verifier, cache)
+                gold_ca = estimate.mean
+            top1_ca = report.ranked[0].ca.mean if report.ranked else 0.5
+            results.append(
+                TaskResult(
+                    task_index=i,
+                    gold=task.gold,
+                    q1=task.q1,
+                    q0=task.q0,
+                    gold_in_top_k=gold_rank is not None,
+                    gold_rank=gold_rank,
+                    top1_ca=top1_ca,
+                    gold_ca=gold_ca,
+                )
             )
-        )
     return BenchReport(results=tuple(results), top_k=config.top_k)

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 from functools import partial
 from pathlib import Path
 
+from .backends import make_backend
 from .bench import default_suite, generate_task, load_suite, run_bench, save_suite
 from .config import RunConfig, build_config, nest_settings, parse_config_file, parse_setting
 from .corpus import DistributionPair, load_clustered, load_corpus
@@ -37,6 +39,7 @@ from .pipeline import (
     verify,
 )
 from .proposer import first_prompt
+from .store import JudgmentCache
 
 
 # Each run flag sets one config key and parses its value exactly as a
@@ -150,7 +153,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    (est,), verifier = verify([args.hypothesis], _load_pair(args), config)
+    backend = make_backend(config.verifier_backend, config.verifier_endpoint)  # no proposer
+    with closing(JudgmentCache(config.cache_path)) as cache:
+        (est,), verifier = verify([args.hypothesis], _load_pair(args), config, backend, cache)
     for warning in judgment_warnings(verifier):
         print(f"distdescribe: warning: {warning}", file=sys.stderr)
     check_abstentions(verifier)

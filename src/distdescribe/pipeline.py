@@ -8,9 +8,9 @@ labeled dataset for shortcut features separating its classes.
 from __future__ import annotations
 
 import json
-from contextlib import closing
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .backends import Backend, make_backend
 from .config import RunConfig
@@ -125,26 +125,39 @@ class ShortcutReport:
         }
 
 
+@contextmanager
+def open_run(
+    config: RunConfig,
+    proposer_backend: Backend | None = None,
+    verifier_backend: Backend | None = None,
+    cache: JudgmentCache | None = None,
+) -> Iterator[tuple[Backend, Backend, JudgmentCache]]:
+    """The proposer backend, verifier backend and judgment cache a run's describes share.
+
+    Parts not passed are built from the config, both backends before the cache so a
+    bad selector fails before any request; a cache opened here is closed on exit.
+    """
+    if proposer_backend is None:
+        proposer_backend = make_backend(config.proposer_backend, config.proposer_endpoint)
+    if verifier_backend is None:
+        verifier_backend = make_backend(config.verifier_backend, config.verifier_endpoint)
+    opened = closing(JudgmentCache(config.cache_path)) if cache is None else nullcontext(cache)
+    with opened as cache:
+        yield proposer_backend, verifier_backend, cache
+
+
 def verify(
     descriptions: Sequence[str],
     pair: DistributionPair,
     config: RunConfig,
-    backend: Backend | None = None,
-    cache: JudgmentCache | None = None,
+    backend: Backend,
+    cache: JudgmentCache,
 ) -> tuple[list[CAEstimate], Verifier]:
     """Each description's CA on the run's seeded pairs, in order, and the verifier.
 
-    The one place a run verifies: through the config's verifier backend unless
-    one is passed, and the run's judgment cache.  Every judgment is looked up
-    first; the distinct misses of all descriptions share one queue drained by
-    up to ``in_flight`` workers.  When no cache is passed, it opens the
-    config's own and closes it on return.
+    The one place a run verifies: the distinct misses of all descriptions share one
+    queue drained by up to ``in_flight`` workers, after every judgment is looked up.
     """
-    if cache is None:
-        with closing(JudgmentCache(config.cache_path)) as cache:
-            return verify(descriptions, pair, config, backend, cache)
-    if backend is None:
-        backend = make_backend(config.verifier_backend, config.verifier_endpoint)
     verifier = Verifier(backend, cache)
     estimates = verifier.estimate_cas(
         descriptions,
@@ -181,19 +194,17 @@ def describe_pair(
     config: RunConfig,
     proposer_backend: Backend | None = None,
     verifier_backend: Backend | None = None,
+    cache: JudgmentCache | None = None,
     roles: tuple[str, str] = ("d0", "d1"),
 ) -> Report:
     """Run the full loop on one distribution pair and rank the findings.
 
-    Backends may be passed directly (tests, embedding); otherwise they are
-    built from the config selectors.  The proposer and the verifier share
-    one cache, opened and closed here.  All candidates are scored on the
-    same seeded pair set, so their CA values are directly comparable.
+    The backends and the cache may be passed in (a run's shared ones, tests, embedding);
+    :func:`open_run` builds the others before training.  All candidates are scored on
+    the same seeded pair set, so their CA values are directly comparable.
     """
-    if proposer_backend is None:
-        proposer_backend = make_backend(config.proposer_backend, config.proposer_endpoint)
-
-    with closing(JudgmentCache(config.cache_path)) as cache:
+    with open_run(config, proposer_backend, verifier_backend, cache) as run:
+        proposer_backend, verifier_backend, cache = run
         disc = train(pair)
         candidates: CandidateSet = propose(disc, proposer_backend, config, cache)
         hypotheses = candidates.hypotheses
@@ -204,12 +215,7 @@ def describe_pair(
 
     scored = sorted(zip(hypotheses, estimates), key=lambda item: (-item[1].mean, item[0].s))
     ranked = tuple(
-        RankedHypothesis(
-            hypothesis=h,
-            ca=ca,
-            rank=index + 1,
-            significant=ca.mean - 2.0 * ca.stderr > 0.5,
-        )
+        RankedHypothesis(h, ca, rank=index + 1, significant=ca.mean - 2.0 * ca.stderr > 0.5)
         for index, (h, ca) in enumerate(scored[: config.top_k])
     )
 
@@ -233,13 +239,12 @@ def describe_pair(
 
 
 def label_clusters(clustered: ClusteredCorpus, config: RunConfig) -> dict[str, Report]:
-    """Describe every cluster against the union of the others."""
+    """Describe every cluster against the union of the others, through one run's parts."""
     reports: dict[str, Report] = {}
-    for cluster_id in clustered.cluster_ids():
-        pair = one_vs_rest(clustered, cluster_id)
-        reports[cluster_id] = describe_pair(
-            pair, config, roles=("rest", f"cluster {cluster_id}")
-        )
+    with open_run(config) as run:
+        for cluster_id in clustered.cluster_ids():
+            pair, roles = one_vs_rest(clustered, cluster_id), ("rest", f"cluster {cluster_id}")
+            reports[cluster_id] = describe_pair(pair, config, *run, roles=roles)
     return reports
 
 
@@ -252,7 +257,7 @@ def shift_report(train_corpus: Corpus, test_corpus: Corpus, config: RunConfig) -
 def shortcut_scan(
     labeled: ClusteredCorpus | Mapping[str, Corpus], config: RunConfig
 ) -> ShortcutReport:
-    """Contrast every unordered pair of label classes.
+    """Contrast every unordered pair of label classes, through one run's parts.
 
     Surfacing a high-CA separating description between two classes is the
     cheap way to notice annotation artifacts before a model learns them.
@@ -264,9 +269,10 @@ def shortcut_scan(
         )
     labels = sorted(clusters)
     reports: list[tuple[tuple[str, str], Report]] = []
-    for i, label0 in enumerate(labels):
-        for label1 in labels[i + 1 :]:
-            pair = DistributionPair(d0=clusters[label0], d1=clusters[label1])
-            report = describe_pair(pair, config, roles=(label0, label1))
-            reports.append(((label0, label1), report))
+    with open_run(config) as run:
+        for i, label0 in enumerate(labels):
+            for label1 in labels[i + 1 :]:
+                pair = DistributionPair(d0=clusters[label0], d1=clusters[label1])
+                report = describe_pair(pair, config, *run, roles=(label0, label1))
+                reports.append(((label0, label1), report))
     return ShortcutReport(labels=tuple(labels), reports=tuple(reports))

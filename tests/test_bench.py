@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from distdescribe import bench
+from distdescribe import bench, store
 from distdescribe.backends import RuleBackend
 from distdescribe.bench import (
     default_suite,
@@ -174,35 +174,43 @@ def test_run_bench_recovers_gold_on_noiseless_tasks():
         assert result.top1_ca > 0.9
 
 
-class _CountingJudge(RuleBackend):
-    def __init__(self):
-        self.judge_calls = 0
-
-    def judge(self, req):
-        self.judge_calls += 1
-        return super().judge(req)
-
-
 @pytest.mark.parametrize("top_k, gold_rank", [(1, None), (2, 2)])
 def test_run_bench_gold_ca_equals_a_direct_estimate(tmp_path, monkeypatch, top_k, gold_rank):
     # The gold ranks second: read off its row at top-2, re-estimated at top-1.
     task = generate_task("question", 0.55, 0.45, 40, seed=2)
     config = RunConfig(top_k=top_k, n_pairs=200, cache_path=str(tmp_path / "c.jsonl"))
-    gold_backend = _CountingJudge()
-    monkeypatch.setattr(bench, "make_backend", lambda *args: gold_backend)
+    sent = []
+    judge = RuleBackend.judge
+    monkeypatch.setattr(
+        RuleBackend, "judge", lambda self, req: sent.append(req) or judge(self, req)
+    )
+    gold_judgments = []  # the judgments each gold-CA fallback sent
+    verify = bench.verify
 
+    def gold_verify(*args):
+        before = len(sent)
+        try:
+            return verify(*args)
+        finally:
+            gold_judgments.append(len(sent) - before)
+
+    monkeypatch.setattr(bench, "verify", gold_verify)
     (result,) = run_bench([task], config).results
     expected = Verifier(RuleBackend()).estimate_ca(
         get_predicate("question").description, task.pair, n_pairs=200, seed=0
     )
     assert result.gold_rank == gold_rank
     assert result.gold_ca == expected.mean
-    assert gold_backend.judge_calls == 0  # every gold judgment came from the run's cache
+    assert len(gold_judgments) == (gold_rank is None)
+    assert sum(gold_judgments) == 0  # every gold judgment came from the run's cache
 
 
-def test_run_bench_reopens_its_store_without_decoding_a_row_twice(
+def test_run_bench_opens_its_store_once_without_decoding_a_row_twice(
     tmp_path, monkeypatch, decoded
 ):
+    opened = []
+    read_store = store._read_store
+    monkeypatch.setattr(store, "_read_store", lambda path: opened.append(path) or read_store(path))
     judge_calls = []
     judge = RuleBackend.judge
     complete_calls = []
@@ -225,11 +233,13 @@ def test_run_bench_reopens_its_store_without_decoding_a_row_twice(
     config = RunConfig(top_k=1, n_pairs=100, cache_path=str(tmp_path / "c.jsonl"))
 
     cold = run_bench(tasks, config).to_dict()
+    assert len(opened) == 1  # every task and the gold-CA fallback share the run's one cache
     assert cold["tasks"][0]["gold_rank"] is None
     assert judge_calls and complete_calls
     judge_calls.clear()
     complete_calls.clear()
     warm = run_bench(tasks, config).to_dict()
+    assert len(opened) == 2
     assert judge_calls == [] and complete_calls == []
     assert warm == cold
     # Every row is this process's own append, taken without being read back.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -12,11 +13,25 @@ import pytest
 import distdescribe.discriminator as discriminator
 import distdescribe.pipeline as pipeline
 import distdescribe.predicates as predicates
-from distdescribe.backends import Backend, RuleBackend, _score_rows
-from distdescribe.bench import generate_task
-from distdescribe.config import RunConfig
-from distdescribe.corpus import ClusteredCorpus
-from distdescribe.errors import FewerThanTwoClustersError, PipelineAbortedError
+from distdescribe.backends import (
+    QUESTION_PREFIX,
+    Backend,
+    CompletionRequest,
+    JudgmentRequest,
+    RecordingBackend,
+    ReplayBackend,
+    RuleBackend,
+    _score_rows,
+)
+from distdescribe.bench import default_suite, generate_task, run_bench
+from distdescribe.config import EndpointConfig, RunConfig
+from distdescribe.corpus import ClusteredCorpus, DistributionPair, one_vs_rest
+from distdescribe.errors import (
+    ConfigError,
+    FewerThanTwoClustersError,
+    PipelineAbortedError,
+    ReplayMissError,
+)
 from distdescribe.pipeline import (
     NO_SIGNIFICANT_DIFFERENCE,
     REPORT_FORMAT,
@@ -27,6 +42,7 @@ from distdescribe.pipeline import (
     shift_report,
     shortcut_scan,
 )
+from distdescribe.store import JudgmentCache
 
 from conftest import make_corpus, make_pair
 
@@ -265,3 +281,169 @@ def test_shortcut_scan_needs_two_labels():
     single = {"only": make_corpus("only", ["a then b", "c then d"])}
     with pytest.raises(FewerThanTwoClustersError):
         shortcut_scan(single, RunConfig())
+
+
+# -------------------------------------------- one cache and one backend pair per run
+
+
+class _CountingProposer(RuleBackend):
+    def __init__(self):
+        self.requests = 0
+
+    def complete(self, req):
+        self.requests += 1
+        return super().complete(req)
+
+
+@pytest.mark.parametrize(
+    "verifier, error",
+    [
+        ({"verifier_backend": "replay:missing.jsonl"}, ReplayMissError),
+        (
+            {"verifier_backend": "http", "verifier_endpoint": EndpointConfig(base_url="ftp://x")},
+            ConfigError,
+        ),
+    ],
+    ids=["replay-miss", "ftp-url"],
+)
+def test_describe_fails_before_any_request_when_a_backend_cannot_be_built(
+    tmp_path, monkeypatch, verifier, error
+):
+    monkeypatch.chdir(tmp_path)  # where the replay transcript is missing
+    store = tmp_path / "c.jsonl"
+    config = RunConfig(cache_path=str(store), **verifier)
+    proposer = _CountingProposer()
+    with pytest.raises(error):
+        describe_pair(generate_task("question", 1.0, 0.0, 30, seed=1).pair, config, proposer)
+    assert proposer.requests == 0
+    assert not store.exists()
+
+
+_RUNS = {
+    # The first task's gold ranks second, so at top-1 run_bench's gold-CA
+    # fallback verifies it too.
+    "bench": lambda config: run_bench(
+        [generate_task("question", 0.55, 0.45, 40, seed=2)] + default_suite(2, 30, seed=5),
+        config,
+    ).to_dict()["tasks"],
+    "label-clusters": lambda config: {
+        cid: report.to_dict()["ranked"]
+        for cid, report in label_clusters(_clustered_digits(), config).items()
+    },
+    "scan": lambda config: [
+        report.to_dict()["ranked"]
+        for _, report in shortcut_scan(_clustered_digits(), config).reports
+    ],
+}
+
+
+@pytest.mark.parametrize("run", sorted(_RUNS))
+def test_a_run_opens_one_cache_and_builds_one_backend_per_role(tmp_path, monkeypatch, run):
+    caches, built = [], []
+    init = JudgmentCache.__init__
+
+    def counting_init(self, path=None):
+        caches.append(path)
+        init(self, path)
+
+    make_backend = pipeline.make_backend
+    monkeypatch.setattr(JudgmentCache, "__init__", counting_init)
+    monkeypatch.setattr(
+        pipeline, "make_backend", lambda *args: built.append(args) or make_backend(*args)
+    )
+    config = RunConfig(
+        top_k=1,
+        n_pairs=30,
+        cache_path=str(tmp_path / "c.jsonl"),
+        proposer_endpoint=EndpointConfig(model="proposer"),
+        verifier_endpoint=EndpointConfig(model="verifier"),
+    )
+    _RUNS[run](config)
+    assert caches == [config.cache_path]
+    assert built == [("rule", config.proposer_endpoint), ("rule", config.verifier_endpoint)]
+
+
+@pytest.mark.parametrize("run", ["bench", "label-clusters"])
+def test_replay_decodes_each_transcript_once_per_run(tmp_path, monkeypatch, run):
+    transcripts = {role: tmp_path / f"{role}.jsonl" for role in ("proposer", "verifier")}
+    config = RunConfig(
+        top_k=1,
+        n_pairs=30,
+        in_flight=1,
+        proposer_endpoint=EndpointConfig(model="proposer"),
+        verifier_endpoint=EndpointConfig(model="verifier"),
+    )
+    with monkeypatch.context() as m:
+        m.setattr(
+            pipeline,
+            "make_backend",
+            lambda selector, endpoint: RecordingBackend(RuleBackend(), transcripts[endpoint.model]),
+        )
+        recorded = _RUNS[run](config)
+
+    decoded = []
+    init = ReplayBackend.__init__
+
+    def counting_init(self, store_path):
+        decoded.append(store_path)
+        init(self, store_path)
+
+    monkeypatch.setattr(ReplayBackend, "__init__", counting_init)
+    replay = dataclasses.replace(
+        config,
+        proposer_backend=f"replay:{transcripts['proposer']}",
+        verifier_backend=f"replay:{transcripts['verifier']}",
+    )
+    assert _RUNS[run](replay) == recorded
+    assert decoded == [str(transcripts["proposer"]), str(transcripts["verifier"])]
+
+
+def _rule_endpoint(path, body):
+    """Answers every request as the rule oracle would."""
+    rule = RuleBackend()
+    context, _, last_line = body["prompt"].rpartition("\n")
+    if last_line.startswith(QUESTION_PREFIX):
+        texts = [rule.judge(JudgmentRequest(question=last_line, context=context))]
+    else:
+        texts = rule.complete(CompletionRequest(prompt=body["prompt"], n=body["n"]))
+    return 200, {"choices": [{"text": text} for text in texts]}
+
+
+def test_a_run_over_http_keeps_its_connections_for_every_describe(http_server):
+    url, script = http_server(_rule_endpoint, keep_alive_s=30.0)
+    endpoint = EndpointConfig(base_url=url)
+    config = RunConfig(
+        n_pairs=20,
+        in_flight=1,
+        proposer_backend="http",
+        verifier_backend="http",
+        proposer_endpoint=endpoint,
+        verifier_endpoint=endpoint,
+    )
+    reports = label_clusters(_clustered_digits(), config)
+    assert reports["questions"].ranked[0].hypothesis.s == "contains a question mark"
+    assert script.hits > len(reports) * 2
+    assert script.connections == 2  # one per role, for all three clusters
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["no-store", "store"])
+def test_runs_match_one_fresh_describe_per_pair(tmp_path, stored):
+    store = tmp_path / "c.jsonl"
+    config = RunConfig(n_pairs=30, in_flight=1, cache_path=str(store) if stored else None)
+    clustered = _clustered_digits()
+    ran = [report_json(r) for r in label_clusters(clustered, config).values()]
+    ran += [report_json(r) for _, r in shortcut_scan(clustered, config).reports]
+    ran_rows = store.read_bytes() if stored else None
+    if stored:
+        store.unlink()
+
+    fresh = []
+    for cid in clustered.cluster_ids():
+        roles = ("rest", f"cluster {cid}")
+        fresh.append(report_json(describe_pair(one_vs_rest(clustered, cid), config, roles=roles)))
+    for label0, label1 in combinations(sorted(clustered.clusters), 2):
+        pair = DistributionPair(d0=clustered.clusters[label0], d1=clustered.clusters[label1])
+        fresh.append(report_json(describe_pair(pair, config, roles=(label0, label1))))
+    assert ran == fresh
+    if stored:
+        assert ran_rows and store.read_bytes() == ran_rows

@@ -798,7 +798,7 @@ def test_verify_keeps_both_slots_busy_at_an_odd_candidate_count():
     pair = make_pair(["plain words, nothing else"], ["is this a question?"])
     descriptions = [QUESTION, "contains a comma", "contains numeric digits"]
     config = RunConfig(n_pairs=1, in_flight=2)
-    estimates, verifier = verify(descriptions, pair, config, _PairedJudge())
+    estimates, verifier = verify(descriptions, pair, config, _PairedJudge(), JudgmentCache())
     assert verifier.judgment_count == 6
     assert verifier.failed_count == verifier.abstain_count == 0
     assert [e.mean for e in estimates] == [1.0, 0.0, 0.5]
@@ -809,14 +809,14 @@ def test_verify_of_stored_judgments_sends_nothing_and_starts_no_thread(tmp_path,
     store = tmp_path / "c.jsonl"
     descriptions = [QUESTION, "contains a negative statement", "contains numeric digits"]
     config = RunConfig(n_pairs=50, in_flight=2, cache_path=str(store))
-    cold, _ = verify(descriptions, task.pair, config)
+    cold, _ = verify(descriptions, task.pair, config, RuleBackend(), JudgmentCache(store))
 
     def no_thread(thread):
         raise AssertionError("a thread was started")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     backend = _RequestLog()
-    warm, verifier = verify(descriptions, task.pair, config, backend)
+    warm, verifier = verify(descriptions, task.pair, config, backend, JudgmentCache(store))
     assert backend.requests == []
     assert warm == cold
     assert verifier.judgment_count == len(descriptions) * 2 * 50
@@ -909,7 +909,8 @@ def test_describe_appends_once_per_description_with_new_judgments(tmp_path, appe
     task = generate_task("question", 0.8, 0.1, 40, seed=5)
     top = describe_pair(task.pair, RunConfig(n_pairs=20)).ranked[0].hypothesis.s
     config = RunConfig(n_pairs=20, in_flight=1, cache_path=str(tmp_path / "c.jsonl"))
-    verify([top], task.pair, config)  # every judgment of one candidate already stored
+    with closing(JudgmentCache(config.cache_path)) as cache:
+        verify([top], task.pair, config, RuleBackend(), cache)  # one candidate's judgments stored
     report = describe_pair(task.pair, config)
     # The proposer's completions, then one append per new description.
     assert len(appends) == 1 + 1 + report.candidate_count - 1
