@@ -112,16 +112,39 @@ class Backend:
         raise NotImplementedError
 
 
-def send_queued(n: int, in_flight: int, send: Callable[[int], None]) -> None:
-    """Call ``send(i)`` for each i in ``range(n)``, ``in_flight`` requests at a time.
+HELPER_WAIT_S = 0.002
 
-    The items go through one FIFO queue drained by ``min(in_flight, n)``
-    workers, the calling thread among them: with no item no thread is
-    started.  The first exception raised by ``send`` empties the queue, so
-    no request is sent after it, and propagates once the workers are done.
+
+def _cpu_share(clock: int, emptied: threading.Event) -> float:
+    """The share of the next ``HELPER_WAIT_S`` that the thread owning ``clock`` spends on a CPU.
+
+    ``clock`` is a thread's CPU clock id; the share is measured over less
+    time if ``emptied`` is set first.
+    """
+    wall, cpu = time.perf_counter(), time.clock_gettime(clock)
+    emptied.wait(HELPER_WAIT_S)
+    return (time.clock_gettime(clock) - cpu) / max(time.perf_counter() - wall, 1e-9)
+
+
+def send_queued(n: int, in_flight: int, send: Callable[[int], None]) -> None:
+    """Call ``send(i)`` for each i in ``range(n)``, at most ``in_flight`` requests at a time.
+
+    The items go through one FIFO queue, which the calling thread drains.
+    ``min(in_flight, n) - 1`` helper threads are started; each waits about
+    2 ms (``HELPER_WAIT_S``, less if the queue empties first), then joins
+    the queue only if the calling thread was on a CPU for less than half
+    of that time: its request is waiting, on a server or a blocked call,
+    so another request can go out beside it.  Otherwise the helper leaves
+    without sending: a request that computes under the interpreter lock,
+    as the rule oracle's do, cannot overlap another, and a second thread
+    would only slow both.  Where the platform has no per-thread CPU clock,
+    every helper joins.  With no item no thread is started.  The first
+    exception raised by ``send`` empties the queue, so no request is sent
+    after it, and propagates once every helper is done.
     """
     queue = deque(range(n))
     errors: list[BaseException] = []
+    emptied = threading.Event()
 
     def work() -> None:
         try:
@@ -129,13 +152,23 @@ def send_queued(n: int, in_flight: int, send: Callable[[int], None]) -> None:
                 try:
                     i = queue.popleft()
                 except IndexError:  # another worker took the last one
-                    return
+                    break
                 send(i)
         except BaseException as exc:
             queue.clear()
             errors.append(exc)
+        emptied.set()
 
-    workers = [threading.Thread(target=work) for _ in range(min(in_flight, n) - 1)]
+    if hasattr(time, "pthread_getcpuclockid"):
+        clock = time.pthread_getcpuclockid(threading.get_ident())
+
+        def assist() -> None:
+            if _cpu_share(clock, emptied) < 0.5:
+                work()
+
+    else:
+        assist = work
+    workers = [threading.Thread(target=assist) for _ in range(min(in_flight, n) - 1)]
     for worker in workers:
         worker.start()
     try:

@@ -53,7 +53,7 @@ RUN_FLAGS = (
     ("--percentiles", "percentiles", "comma-separated percentiles, e.g. 5,20,100"),
     ("--temperature", "temperature", "proposer sampling temperature"),
     ("--max-completion-tokens", "max_completion_tokens", "max tokens per proposer completion"),
-    ("--in-flight", "in_flight", "concurrent requests"),
+    ("--in-flight", "in_flight", "most requests in flight at once"),
     ("--proposer-backend", "proposer_backend", "http, rule, or replay:<path>"),
     ("--verifier-backend", "verifier_backend", "http, rule, or replay:<path>"),
     ("--proposer-base-url", "proposer.base_url", "proposer endpoint URL"),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import ssl
 import threading
+import time
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from distdescribe import store
+from distdescribe.backends import RuleBackend
 from distdescribe.bench import generate_task
 from distdescribe.corpus import Corpus, DistributionPair, Sample, save_corpus
 
@@ -35,6 +37,22 @@ def write_jsonl(path, rows):
         for row in rows:
             handle.write(json.dumps(row) + "\n")
     return path
+
+
+class WaitingJudge(RuleBackend):
+    """A rule judge that first sleeps ``wait_s``, off the interpreter lock, as an endpoint would.
+
+    ``senders`` holds the ident of every thread that sent it a judgment.
+    """
+
+    def __init__(self, wait_s=0.001):
+        self.wait_s = wait_s
+        self.senders = set()
+
+    def judge(self, req):
+        self.senders.add(threading.get_ident())
+        time.sleep(self.wait_s)
+        return super().judge(req)
 
 
 @pytest.fixture

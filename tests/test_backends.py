@@ -23,9 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distdescribe import __version__, predicates
+from distdescribe import RunConfig, __version__, backends, describe_pair, generate_task, predicates
 from distdescribe.backends import (
+    QUESTION_PREFIX,
     SCORE_MEMO_TEXTS,
+    Backend,
     CompletionRequest,
     HttpBackend,
     JudgmentRequest,
@@ -38,6 +40,7 @@ from distdescribe.backends import (
     make_backend,
     one_line,
     request_hash,
+    send_queued,
 )
 from distdescribe.cli import main
 from distdescribe.config import CONFIG_FORMAT, EndpointConfig
@@ -56,7 +59,7 @@ from distdescribe.predicates import PREDICATES
 from distdescribe.proposer import build_prompt
 from distdescribe.verifier import ABSTAIN, Verifier
 
-from conftest import TLS_CERT
+from conftest import TLS_CERT, WaitingJudge
 
 QUESTION_PROMPT = (
     "Group 0:\n"
@@ -268,6 +271,135 @@ def test_threads_scoring_shared_texts_compute_each_score_once(monkeypatch):
     assert wrong == []
     assert len(calls) == len(texts) * len(PREDICATES)
     assert set(calls.values()) == {1}
+
+
+# ---------------------------------------------------------------- request queue
+
+
+class _CpuShare:
+    """Stands in for ``backends._cpu_share``: keeps each helper thread that asks.
+
+    Answers ``share``, or measures it when ``share`` is None.
+    """
+
+    def __init__(self, measure):
+        self.measure = measure
+        self.share = None
+        self.helpers = []
+
+    def __call__(self, clock, emptied):
+        self.helpers.append(threading.current_thread())
+        return self.measure(clock, emptied) if self.share is None else self.share
+
+
+@pytest.fixture
+def cpu_share(monkeypatch):
+    seam = _CpuShare(backends._cpu_share)
+    monkeypatch.setattr(backends, "_cpu_share", seam)
+    return seam
+
+
+class _Metered(Backend):
+    """Shaped like the benchmark's metering wrapper: counts, delegates, hides the inner class."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.id = inner.id
+        self.requests = 0
+        self._lock = threading.Lock()
+
+    def _count(self):
+        with self._lock:
+            self.requests += 1
+
+    def complete(self, req):
+        self._count()
+        return self.inner.complete(req)
+
+    def judge(self, req):
+        self._count()
+        return self.inner.judge(req)
+
+
+@pytest.mark.parametrize("wrap", ["bare", "recording", "metered"])
+@pytest.mark.parametrize("in_flight", [2, 4])
+def test_rule_backend_sends_every_request_from_the_calling_thread(
+    tmp_path, monkeypatch, cpu_share, wrap, in_flight
+):
+    # The rule oracle computes under the interpreter lock, so its caller reads
+    # as on a CPU all the time, whatever wraps it; the seam pins that reading.
+    cpu_share.share = 1.0
+    senders = []
+    rule_complete, rule_judge = RuleBackend.complete, RuleBackend.judge
+
+    def complete(self, req):
+        senders.append(threading.get_ident())
+        return rule_complete(self, req)
+
+    def judge(self, req):
+        senders.append(threading.get_ident())
+        return rule_judge(self, req)
+
+    monkeypatch.setattr(RuleBackend, "complete", complete)
+    monkeypatch.setattr(RuleBackend, "judge", judge)
+    backend = {
+        "bare": lambda: RuleBackend(),
+        "recording": lambda: RecordingBackend(RuleBackend(), tmp_path / "t.jsonl"),
+        "metered": lambda: _Metered(RuleBackend()),
+    }[wrap]()
+    task = generate_task("question", 0.8, 0.1, 40, seed=3)
+    report = describe_pair(task.pair, RunConfig(n_pairs=50, in_flight=in_flight), backend, backend)
+    assert report.ranked[0].hypothesis.s == "contains a question mark"
+    assert len(senders) > 100
+    assert set(senders) == {threading.get_ident()}
+    # The proposer's queue and the verifier's each asked once per helper.
+    assert len(cpu_share.helpers) == 2 * (in_flight - 1)
+
+
+@pytest.mark.parametrize("in_flight", [2, 4])
+def test_waiting_judge_has_in_flight_requests_out_at_once(cpu_share, in_flight):
+    barrier = threading.Barrier(in_flight, timeout=10)
+
+    class HeldJudge(WaitingJudge):
+        def judge(self, req):
+            answer = super().judge(req)
+            barrier.wait()  # passes only while in_flight judgments are out
+            return answer
+
+    backend = HeldJudge()
+    question = f"{QUESTION_PREFIX}contains a question mark?"
+    reqs = [JudgmentRequest(question, f"A: {i}?\nB: {i}") for i in range(3 * in_flight)]
+    answers = {}
+
+    def send(i):
+        answers[i] = backend.judge(reqs[i])
+
+    send_queued(len(reqs), in_flight, send)
+    assert answers == {i: "yes" for i in range(len(reqs))}
+    assert len(backend.senders) == in_flight
+    assert len(cpu_share.helpers) == in_flight - 1
+
+
+@pytest.mark.parametrize("share", [None, 0.0, 1.0], ids=["measured", "waiting", "computing"])
+@pytest.mark.parametrize("fail", [False, True], ids=["finish", "auth-error"])
+def test_no_helper_thread_outlives_the_queue(cpu_share, share, fail):
+    cpu_share.share = share
+    sent = []
+
+    def send(i):
+        sent.append(i)
+        if fail:
+            raise AuthError("bad key")
+
+    if fail:
+        with pytest.raises(AuthError):
+            send_queued(8, 4, send)
+        assert 1 <= len(sent) <= 4  # each worker stops at its first refusal
+    else:
+        send_queued(8, 4, send)
+        assert sorted(sent) == list(range(8))
+    assert len(cpu_share.helpers) == 3
+    assert not any(thread.is_alive() for thread in cpu_share.helpers)
 
 
 # ---------------------------------------------------------------- request hash

@@ -44,7 +44,7 @@ from distdescribe.pipeline import (
 )
 from distdescribe.store import JudgmentCache
 
-from conftest import make_corpus, make_pair
+from conftest import WaitingJudge, make_corpus, make_pair
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "golden_report.json"
 
@@ -118,13 +118,16 @@ def test_describe_pair_verification_scores_each_text_once_per_predicate(monkeypa
 )
 def test_describe_pair_scores_each_text_once_per_predicate(scorings, config):
     # The proposer and the verifier share the score memo: what one scored,
-    # the other reads, so no score of a describe is computed twice.
+    # the other reads, so no score of a describe is computed twice.  Above
+    # in_flight 1 the judge waits, so the verifier's workers score at once.
     task = generate_task("question", 0.8, 0.1, 120, seed=5)
+    judge = WaitingJudge(wait_s=0.0002 if config.in_flight > 1 else 0)
     scorings.clear()  # the generator scores texts directly
-    report = describe_pair(task.pair, config)
+    report = describe_pair(task.pair, config, RuleBackend(), judge)
     assert report.ranked[0].hypothesis.s == "contains a question mark"
     assert len(scorings) > 3000
     assert max(scorings.values()) == 1
+    assert (len(judge.senders) > 1) == (config.in_flight > 1)
 
 
 def test_describe_pair_rank_and_order_contract():

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distdescribe import backends
+from distdescribe import backends, pipeline
 from distdescribe import store as store_module
 from distdescribe.backends import (
     Backend,
@@ -40,7 +40,7 @@ from distdescribe.predicates import PREDICATES, get_predicate
 from distdescribe.store import JudgmentCache, append_jsonl
 from distdescribe.verifier import ABSTAIN, Verifier, _answer_value
 
-from conftest import make_pair
+from conftest import WaitingJudge, make_pair
 
 QUESTION = "contains a question mark"
 GOLDEN_JUDGMENTS = Path(__file__).parent / "data" / "golden_judgments.jsonl"
@@ -827,13 +827,15 @@ def test_many_workers_append_each_description_once(tmp_path, appends):
     descriptions = [p.description for p in PREDICATES[:12]]
     reference = Verifier(RuleBackend()).estimate_cas(descriptions, task.pair, n_pairs=60)
     store = tmp_path / "c.jsonl"
-    verifier = Verifier(RuleBackend(), JudgmentCache(store))
+    backend = WaitingJudge()  # a judge that waits, so every worker joins the queue
+    verifier = Verifier(backend, JudgmentCache(store))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         estimates = verifier.estimate_cas(descriptions, task.pair, n_pairs=60, in_flight=8)
     finally:
         sys.setswitchinterval(interval)
+    assert len(backend.senders) > 1
     assert estimates == reference
     # Appends can race into one, but no description's rows are split between two.
     assert Counter(s for rows in appends for s in {row["s"] for row in rows}) == Counter(descriptions)
@@ -1012,15 +1014,18 @@ def test_flushes_racing_opens_leave_the_store_index_as_a_full_read(
         assert _stored(held, a.text, b.text) == _stored(full, a.text, b.text) == 1.0
 
 
-def test_run_bench_writes_the_same_rows_at_any_in_flight(tmp_path):
+def test_run_bench_writes_the_same_rows_at_any_in_flight(tmp_path, monkeypatch):
     tasks = default_suite(task_count=3, n_per_side=30, seed=5)
     stores = {}
-    for in_flight in (4, 1):
+    waiting = WaitingJudge()  # a judge that waits, so at in_flight 4 the workers race to the store
+    for in_flight, backend in ((4, waiting), (1, RuleBackend())):
+        monkeypatch.setattr(pipeline, "make_backend", lambda selector, endpoint: backend)
         store = tmp_path / f"in-flight-{in_flight}.jsonl"
         run_bench(tasks, RunConfig(n_pairs=100, in_flight=in_flight, cache_path=str(store)))
         lines = store.read_text(encoding="utf-8").splitlines()
         assert len({json.loads(line)["key"] for line in lines}) == len(lines)
         stores[in_flight] = set(lines)
+    assert len(waiting.senders) > 1
     assert stores[4] == stores[1]
 
 
