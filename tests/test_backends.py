@@ -380,6 +380,20 @@ def test_waiting_judge_has_in_flight_requests_out_at_once(cpu_share, in_flight):
     assert len(cpu_share.helpers) == in_flight - 1
 
 
+def test_without_a_thread_cpu_clock_every_helper_joins(monkeypatch, cpu_share):
+    monkeypatch.delattr(time, "pthread_getcpuclockid")
+    barrier = threading.Barrier(3, timeout=10)
+    senders = set()
+
+    def send(i):
+        senders.add(threading.get_ident())
+        barrier.wait()  # passes only while 3 requests are out
+
+    send_queued(6, 3, send)
+    assert len(senders) == 3
+    assert cpu_share.helpers == []
+
+
 @pytest.mark.parametrize("share", [None, 0.0, 1.0], ids=["measured", "waiting", "computing"])
 @pytest.mark.parametrize("fail", [False, True], ids=["finish", "auth-error"])
 def test_no_helper_thread_outlives_the_queue(cpu_share, share, fail):
