@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -84,10 +85,12 @@ def test_describe_pair_featurizes_each_sample_once(monkeypatch):
 def scorings(monkeypatch):
     """How often each (predicate id, text) was scored, with an empty score memo to start."""
     calls = Counter()
+    lock = threading.Lock()  # racing workers must not lose a count
 
     def counted(pred):
         def score(text):
-            calls[pred.id, text] += 1
+            with lock:
+                calls[pred.id, text] += 1
             return pred.score(text)
 
         return dataclasses.replace(pred, score=score)
