@@ -200,7 +200,7 @@ def propose(
     ``completions_per_set`` completions.  Each request is looked up in
     ``cache``'s store first, if it has one, and each distinct miss is sent
     once; the new completions reach the store in one append.  Misses are
-    sent ``config.in_flight`` at a time (see ``send_queued``): the first
+    sent at most ``config.in_flight`` at a time (see ``send_queued``): the first
     that fails stops the sending and propagates.  Results are merged in
     (percentile, set, completion) order so the outcome does not depend on
     arrival order.

@@ -182,7 +182,7 @@ class Verifier:
 
         Each description's question is built once, and each missed pair's
         context once, from each text put on one line once; a miss's request
-        joins the two.  The misses are sent ``in_flight`` at a time through
+        joins the two.  The misses are sent at most ``in_flight`` at a time through
         :func:`send_queued`.  With a store, a description's new judgments
         are put into the cache, and with ``flush`` appended to the store in
         one write, once its last miss is answered.  A :class:`BackendError`
@@ -307,7 +307,7 @@ class Verifier:
         """:meth:`estimate_ca` of each description, on pairs drawn once for all of them.
 
         The judgments of every description are looked up first, and the
-        distinct misses sent ``in_flight`` at a time (see :meth:`_judge_all`).
+        distinct misses sent at most ``in_flight`` at a time (see :meth:`_judge_all`).
         """
         if n_pairs < 1:
             raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")

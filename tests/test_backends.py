@@ -300,24 +300,16 @@ def cpu_share(monkeypatch):
 
 
 class _Metered(Backend):
-    """Shaped like the benchmark's metering wrapper: counts, delegates, hides the inner class."""
+    """Shaped like the benchmark's metering wrapper: a plain ``Backend`` delegating to ``inner``."""
 
     def __init__(self, inner):
         self.inner = inner
         self.id = inner.id
-        self.requests = 0
-        self._lock = threading.Lock()
-
-    def _count(self):
-        with self._lock:
-            self.requests += 1
 
     def complete(self, req):
-        self._count()
         return self.inner.complete(req)
 
     def judge(self, req):
-        self._count()
         return self.inner.judge(req)
 
 
@@ -343,7 +335,7 @@ def test_rule_backend_sends_every_request_from_the_calling_thread(
     monkeypatch.setattr(RuleBackend, "complete", complete)
     monkeypatch.setattr(RuleBackend, "judge", judge)
     backend = {
-        "bare": lambda: RuleBackend(),
+        "bare": RuleBackend,
         "recording": lambda: RecordingBackend(RuleBackend(), tmp_path / "t.jsonl"),
         "metered": lambda: _Metered(RuleBackend()),
     }[wrap]()
